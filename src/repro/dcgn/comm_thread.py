@@ -39,7 +39,7 @@ from ..mpi.status import ANY_SOURCE
 from ..sim.core import Event, Simulator, us
 from ..sim.sync import Signal
 from .errors import CollectiveMismatch, DcgnError
-from .groups import GroupTable, WORLD_GID
+from .groups import GroupTable
 from .queues import WorkQueue
 from .ranks import ANY, RankMap
 from .requests import COLLECTIVE_OPS, RMA_OPS, CommRequest, CommStatus
@@ -79,13 +79,14 @@ class _CollState:
 
     ``gid`` scopes the collective to a slot group (``WORLD_GID`` = the
     whole job): staging waits for the group's *local* members only, the
-    MPI phase runs on the group's node sub-communicator, and ordering
-    is per group — collectives on disjoint groups progress
-    independently and overlap on the wire.
+    MPI phase runs on the group's node sub-communicator (the node
+    communicator itself for the world), and ordering is per group —
+    collectives on disjoint groups progress independently and overlap
+    on the wire.
     """
 
     seq: int
-    gid: int = WORLD_GID
+    gid: int
     kind: Optional[str] = None
     root: int = -1
     op_name: str = ""
@@ -502,10 +503,10 @@ class CommThread:
 
     def _stage_collective(self, req: CommRequest) -> None:
         seq = req.extra.get("coll_seq")
-        if seq is None:
-            raise DcgnError(f"collective {req!r} missing coll_seq")
-        gid = int(req.extra.get("gid", WORLD_GID))
-        if gid != WORLD_GID and req.src_vrank not in self.groups.group(gid):
+        gid = req.extra.get("gid")
+        if seq is None or gid is None:
+            raise DcgnError(f"collective {req!r} missing coll_seq or gid")
+        if req.src_vrank not in self.groups.group(gid):
             raise CollectiveMismatch(
                 f"vrank {req.src_vrank} issued a collective on group "
                 f"{gid} it does not belong to"
@@ -598,11 +599,7 @@ class CommThread:
         """
         self._bump(f"coll.{state.kind}")
         info = self.groups.info(state.gid)
-        mpi = (
-            self.mpi
-            if state.gid == WORLD_GID
-            else info.ctx_for(self.node.node_id)
-        )
+        mpi = info.ctx_for(self.node.node_id)
         if state.kind == "barrier":
             self._spawn_completer(state, mpi.ibarrier(), None)
         elif state.kind == "bcast":
@@ -614,7 +611,7 @@ class CommThread:
         elif state.kind == "scatter":
             self._start_scatter(state, info, mpi)
         elif state.kind == "split":
-            self._start_split(state)
+            self._start_split(state, mpi)
         else:
             raise DcgnError(f"unhandled collective {state.kind!r}")
 
@@ -769,9 +766,6 @@ class CommThread:
 
             self._spawn_completer(state, mreq, finish_reduce)
 
-    def _local_vranks_in_order(self) -> List[int]:
-        return self.rankmap.local_ranks(self.node.node_id)
-
     def _exec_gather(
         self, state: _CollState, info, mpi
     ) -> Generator[Event, Any, None]:
@@ -895,7 +889,7 @@ class CommThread:
 
         self._spawn_completer(state, mreq, finish_scatter)
 
-    def _start_split(self, state: _CollState) -> None:
+    def _start_split(self, state: _CollState, mpi) -> None:
         """Collective ``comm_split`` over the whole job.
 
         Every virtual rank contributes a (color, key) pair; the comm
@@ -925,9 +919,9 @@ class CommThread:
             np.empty(
                 3 * len(self.rankmap.local_ranks(n)), dtype=np.int64
             )
-            for n in range(self.mpi.size)
+            for n in range(mpi.size)
         ]
-        mreq = self.mpi.iallgather(mine, recv)
+        mreq = mpi.iallgather(mine, recv)
 
         def finish_split():
             triples = []

@@ -5,11 +5,17 @@ CPU kernels are generator functions ``fn(ctx, *args)`` receiving a
 node's communication thread through the thread-safe work queue and wait
 for completion with sleep-based polling — the two cost sources the paper
 blames for DCGN's small-message overhead (§5.2).
+
+Collectives are scoped to a slot group, and the world is group 0
+(:data:`~repro.dcgn.groups.WORLD_GID`): ``ctx.barrier()`` is the world
+group's barrier, and ``ctx.group("g").barrier()`` runs the same code on
+group ``g``.  Every blocking call is its nonblocking twin followed by
+``wait``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Union
+from typing import Any, Callable, Dict, Generator, Optional, Union
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from ..mpi.datatypes import payload_array
 from ..sim.core import Event, Simulator, us
 from .comm_thread import CommThread
 from .errors import CommViolation
-from .groups import DcgnGroup
+from .groups import WORLD_GID, DcgnGroup
 from .queues import sleep_poll_wait
 from .ranks import ANY, RankMap
 from .requests import CommRequest, CommStatus
@@ -26,6 +32,7 @@ from .requests import CommRequest, CommStatus
 __all__ = ["CpuKernelContext", "CpuGroupComm", "DcgnRequestHandle"]
 
 HostPayload = Union[np.ndarray, HostBuffer]
+Deliver = Callable[[np.ndarray], None]
 
 
 def _check_reduce_op_name(op) -> str:
@@ -37,6 +44,28 @@ def _check_reduce_op_name(op) -> str:
         return ReduceOp(str(op)).value
     except ValueError:
         raise CommViolation(f"unknown accumulate op {op!r}") from None
+
+
+def _byte_copier(dst: np.ndarray) -> Deliver:
+    """``deliver`` callback copying a payload's bytes into ``dst``
+    (up to the shorter of the two)."""
+
+    def deliver(data: np.ndarray) -> None:
+        dview = dst.view(np.uint8).reshape(-1)
+        sview = data.view(np.uint8).reshape(-1)
+        m = min(dview.size, sview.size)
+        dview[:m] = sview[:m]
+
+    return deliver
+
+
+def _shaped_copier(dst: np.ndarray) -> Deliver:
+    """``deliver`` callback writing a reduction result into ``dst``."""
+
+    def deliver(data: np.ndarray) -> None:
+        dst[...] = data.reshape(dst.shape)
+
+    return deliver
 
 
 class DcgnRequestHandle:
@@ -67,8 +96,218 @@ class DcgnRequestHandle:
         return result
 
 
-class CpuKernelContext:
-    """Execution context of one CPU-kernel thread (one virtual rank)."""
+class _CpuCollectives:
+    """Every collective a CPU kernel can issue, scoped to one slot group.
+
+    :class:`CpuKernelContext` is this scope over the world group and
+    :class:`CpuGroupComm` over any other group.  The comm thread stages
+    a scope's collectives against the group's local members and runs
+    the MPI phase on the group's node sub-communicator (own tag space),
+    so collectives on disjoint groups overlap on the wire.  ``root``
+    arguments are **group ranks** (vranks on the world), as in MPI.
+    Each group orders its own collectives: every member must issue them
+    in the same order, but no order is required *between* groups.
+    Sequence numbers are claimed at issue time, so blocking and
+    nonblocking collectives may be mixed.
+    """
+
+    _kernel: "CpuKernelContext"
+    _scope: DcgnGroup
+
+    @property
+    def rank(self) -> int:
+        """This kernel's rank in the scope (its vrank on the world)."""
+        return self._scope.rank_of(self._kernel.vrank)
+
+    @property
+    def size(self) -> int:
+        """Members of the scope (every virtual rank on the world)."""
+        return self._scope.size
+
+    # -- plumbing ----------------------------------------------------------
+    def _coll(
+        self,
+        op: str,
+        root: int = -1,
+        nbytes: int = 0,
+        data: Optional[np.ndarray] = None,
+        deliver: Optional[Deliver] = None,
+        **extra,
+    ) -> CommRequest:
+        """A collective request on this scope, claiming the group's
+        next sequence number."""
+        gid = self._scope.gid
+        seqs = self._kernel._group_seqs
+        seq = seqs.get(gid, 0)
+        seqs[gid] = seq + 1
+        return CommRequest(
+            op=op, src_vrank=self._kernel.vrank, root=root, nbytes=nbytes,
+            data=data, deliver=deliver,
+            extra={"coll_seq": seq, "gid": gid, **extra},
+        )
+
+    def _root_vrank(self, root: int) -> int:
+        if not (0 <= root < self._scope.size):
+            raise CommViolation(
+                f"root {root} out of range [0,{self._scope.size}) in "
+                f"group {self._scope.name!r}"
+            )
+        return self._scope.vranks[root]
+
+    # -- collectives -------------------------------------------------------
+    def ibarrier(self) -> Generator[Event, Any, DcgnRequestHandle]:
+        """Nonblocking barrier across the scope."""
+        handle = yield from self._kernel._issue_async(self._coll("barrier"))
+        return handle
+
+    def barrier(self) -> Generator[Event, Any, None]:
+        """dcgn::barrier across the scope's members."""
+        handle = yield from self.ibarrier()
+        yield from handle.wait()
+
+    def ibroadcast(
+        self, root: int, buf: HostPayload, nbytes: Optional[int] = None
+    ) -> Generator[Event, Any, DcgnRequestHandle]:
+        """Nonblocking broadcast from group rank ``root``."""
+        root_vrank = self._root_vrank(root)
+        arr = self._kernel._array(buf, "broadcast")
+        n = int(nbytes) if nbytes is not None else int(arr.nbytes)
+        if self._kernel.vrank == root_vrank:
+            req = self._coll("bcast", root=root_vrank, nbytes=n,
+                             data=arr.copy())
+        else:
+            req = self._coll("bcast", root=root_vrank, nbytes=n,
+                             deliver=_byte_copier(arr))
+        handle = yield from self._kernel._issue_async(req)
+        return handle
+
+    def broadcast(
+        self, root: int, buf: HostPayload, nbytes: Optional[int] = None
+    ) -> Generator[Event, Any, None]:
+        """dcgn::broadcast from group rank ``root`` to the scope."""
+        handle = yield from self.ibroadcast(root, buf, nbytes)
+        yield from handle.wait()
+
+    def iallreduce(
+        self, sendbuf: HostPayload, recvbuf: HostPayload, op: str = "sum"
+    ) -> Generator[Event, Any, DcgnRequestHandle]:
+        """Nonblocking allreduce: issue and keep computing.
+
+        The comm thread stages, combines and progresses the collective
+        in the background; ``recvbuf`` is valid once the handle's
+        ``wait`` returns.
+        """
+        sarr = self._kernel._array(sendbuf, "allreduce")
+        rarr = self._kernel._array(recvbuf, "allreduce")
+        req = self._coll(
+            "allreduce", nbytes=int(sarr.nbytes), data=sarr.copy(),
+            deliver=_shaped_copier(rarr), reduce_op=op,
+        )
+        handle = yield from self._kernel._issue_async(req)
+        return handle
+
+    def allreduce(
+        self, sendbuf: HostPayload, recvbuf: HostPayload, op: str = "sum"
+    ) -> Generator[Event, Any, None]:
+        """dcgn::allReduce with elementwise ``op`` across the scope."""
+        handle = yield from self.iallreduce(sendbuf, recvbuf, op)
+        yield from handle.wait()
+
+    def reduce(
+        self,
+        root: int,
+        sendbuf: HostPayload,
+        recvbuf: Optional[HostPayload] = None,
+        op: str = "sum",
+    ) -> Generator[Event, Any, None]:
+        """dcgn::reduce to group rank ``root``."""
+        root_vrank = self._root_vrank(root)
+        sarr = self._kernel._array(sendbuf, "reduce")
+        deliver = None
+        if self._kernel.vrank == root_vrank:
+            if recvbuf is None:
+                raise CommViolation("root needs a recv buffer for reduce")
+            deliver = _shaped_copier(self._kernel._array(recvbuf, "reduce"))
+        req = self._coll(
+            "reduce", root=root_vrank, nbytes=int(sarr.nbytes),
+            data=sarr.copy(), deliver=deliver, reduce_op=op,
+        )
+        handle = yield from self._kernel._issue_async(req)
+        yield from handle.wait()
+
+    def igather(
+        self,
+        root: int,
+        sendbuf: HostPayload,
+        recvbuf: Optional[HostPayload] = None,
+    ) -> Generator[Event, Any, DcgnRequestHandle]:
+        """Nonblocking gather: issue and keep computing (the comm
+        thread already progresses the MPI phase asynchronously)."""
+        root_vrank = self._root_vrank(root)
+        sarr = self._kernel._array(sendbuf, "gather")
+        chunk = int(sarr.nbytes)
+        deliver = None
+        if self._kernel.vrank == root_vrank:
+            if recvbuf is None:
+                raise CommViolation("root needs a recv buffer for gather")
+            deliver = _byte_copier(self._kernel._array(recvbuf, "gather"))
+        req = self._coll(
+            "gather", root=root_vrank, nbytes=chunk, data=sarr.copy(),
+            deliver=deliver, chunk=chunk,
+        )
+        handle = yield from self._kernel._issue_async(req)
+        return handle
+
+    def gather(
+        self,
+        root: int,
+        sendbuf: HostPayload,
+        recvbuf: Optional[HostPayload] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::gather — equal chunks to group rank ``root``, in group
+        order."""
+        handle = yield from self.igather(root, sendbuf, recvbuf)
+        yield from handle.wait()
+
+    def iscatter(
+        self,
+        root: int,
+        recvbuf: HostPayload,
+        sendbuf: Optional[HostPayload] = None,
+    ) -> Generator[Event, Any, DcgnRequestHandle]:
+        """Nonblocking scatter: issue and keep computing."""
+        root_vrank = self._root_vrank(root)
+        rarr = self._kernel._array(recvbuf, "scatter")
+        chunk = int(rarr.nbytes)
+        data = None
+        if self._kernel.vrank == root_vrank:
+            if sendbuf is None:
+                raise CommViolation("root needs a send buffer for scatter")
+            data = self._kernel._array(sendbuf, "scatter").copy()
+        req = self._coll(
+            "scatter", root=root_vrank, nbytes=chunk, data=data,
+            deliver=_byte_copier(rarr), chunk=chunk,
+        )
+        handle = yield from self._kernel._issue_async(req)
+        return handle
+
+    def scatter(
+        self,
+        root: int,
+        recvbuf: HostPayload,
+        sendbuf: Optional[HostPayload] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::scatter — equal chunks from group rank ``root``, in
+        group order."""
+        handle = yield from self.iscatter(root, recvbuf, sendbuf)
+        yield from handle.wait()
+
+
+class CpuKernelContext(_CpuCollectives):
+    """Execution context of one CPU-kernel thread (one virtual rank).
+
+    Its collectives are the world group's (:class:`_CpuCollectives`).
+    """
 
     def __init__(
         self,
@@ -82,23 +321,15 @@ class CpuKernelContext:
         self._comm = comm
         self._rankmap = rankmap
         self._params = comm.params
-        self._coll_seq = 0
-        #: Per-group collective sequence counters (shared across every
-        #: handle this context creates for the same group, so repeated
-        #: ``group(...)`` lookups never desynchronize the staging).
+        self._kernel = self
+        self._scope = comm.groups.group(WORLD_GID)
+        #: Per-group collective sequence counters, world included
+        #: (shared across every handle this context creates for the
+        #: same group, so repeated ``group(...)`` lookups never
+        #: desynchronize the staging).
         self._group_seqs: Dict[int, int] = {}
 
     # -- identity ----------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        """This kernel's virtual rank (dcgn::getRank())."""
-        return self.vrank
-
-    @property
-    def size(self) -> int:
-        """Total virtual ranks in the job."""
-        return self._rankmap.size
-
     @property
     def node_id(self) -> int:
         return self._comm.node.node_id
@@ -115,18 +346,17 @@ class CpuKernelContext:
             yield self.sim.timeout(seconds)
 
     # -- plumbing ----------------------------------------------------------
-    def _issue(self, req: CommRequest) -> Generator[Event, Any, Any]:
-        """Charge request overhead, enqueue, and sleep-poll for completion."""
+    def _issue_async(
+        self, req: CommRequest
+    ) -> Generator[Event, Any, DcgnRequestHandle]:
+        """Charge request overhead and enqueue; the handle's ``wait``
+        sleep-polls for completion."""
         req.done = self.sim.event(name=f"req{req.req_id}.done")
         req.stamp("issued", self.sim.now)
         yield self.sim.timeout(us(self._params.cpu.request_overhead_us))
         yield from self._comm.enqueue_from_cpu(req)
         req.stamp("enqueued", self.sim.now)
-        result = yield from sleep_poll_wait(
-            self.sim, req.done, self._params.dcgn.cpu_wait_poll_us
-        )
-        req.stamp("returned", self.sim.now)
-        return result
+        return DcgnRequestHandle(self, req)
 
     @staticmethod
     def _array(buf: HostPayload, what: str) -> np.ndarray:
@@ -139,64 +369,7 @@ class CpuKernelContext:
         if peer != ANY:
             self._rankmap.info(peer)  # raises if out of range
 
-    # -- point-to-point ------------------------------------------------------
-    def send(
-        self,
-        dest: int,
-        buf: HostPayload,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::send — blocking send of host memory to a virtual rank."""
-        self._check_peer(dest)
-        arr = self._array(buf, "send")
-        n = int(nbytes) if nbytes is not None else int(arr.nbytes)
-        req = CommRequest(
-            op="send",
-            src_vrank=self.vrank,
-            peer=dest,
-            nbytes=n,
-            data=arr.copy(),
-        )
-        yield from self._issue(req)
-
-    def recv(
-        self,
-        source: int,
-        buf: HostPayload,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, CommStatus]:
-        """dcgn::recv — blocking receive; ``source`` may be ``ANY``."""
-        self._check_peer(source)
-        arr = self._array(buf, "recv")
-        n = int(nbytes) if nbytes is not None else int(arr.nbytes)
-
-        def deliver(data: np.ndarray) -> None:
-            dview = arr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
-        req = CommRequest(
-            op="recv",
-            src_vrank=self.vrank,
-            peer=source,
-            nbytes=n,
-            deliver=deliver,
-        )
-        status = yield from self._issue(req)
-        return status
-
-    # -- asynchronous point-to-point (paper §5.1) --------------------------
-    def _issue_async(
-        self, req: CommRequest
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        req.done = self.sim.event(name=f"req{req.req_id}.done")
-        req.stamp("issued", self.sim.now)
-        yield self.sim.timeout(us(self._params.cpu.request_overhead_us))
-        yield from self._comm.enqueue_from_cpu(req)
-        req.stamp("enqueued", self.sim.now)
-        return DcgnRequestHandle(self, req)
-
+    # -- point-to-point (asynchronous forms: paper §5.1) -------------------
     def isend(
         self,
         dest: int,
@@ -205,17 +378,24 @@ class CpuKernelContext:
     ) -> Generator[Event, Any, DcgnRequestHandle]:
         """Asynchronous send; payload snapshotted at issue time."""
         self._check_peer(dest)
-        arr = self._array(buf, "isend")
+        arr = self._array(buf, "send")
         n = int(nbytes) if nbytes is not None else int(arr.nbytes)
         req = CommRequest(
-            op="send",
-            src_vrank=self.vrank,
-            peer=dest,
-            nbytes=n,
+            op="send", src_vrank=self.vrank, peer=dest, nbytes=n,
             data=arr.copy(),
         )
         handle = yield from self._issue_async(req)
         return handle
+
+    def send(
+        self,
+        dest: int,
+        buf: HostPayload,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::send — blocking send of host memory to a virtual rank."""
+        handle = yield from self.isend(dest, buf, nbytes)
+        yield from handle.wait()
 
     def irecv(
         self,
@@ -225,24 +405,25 @@ class CpuKernelContext:
     ) -> Generator[Event, Any, DcgnRequestHandle]:
         """Asynchronous receive into ``buf``."""
         self._check_peer(source)
-        arr = self._array(buf, "irecv")
+        arr = self._array(buf, "recv")
         n = int(nbytes) if nbytes is not None else int(arr.nbytes)
-
-        def deliver(data: np.ndarray) -> None:
-            dview = arr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
         req = CommRequest(
-            op="recv",
-            src_vrank=self.vrank,
-            peer=source,
-            nbytes=n,
-            deliver=deliver,
+            op="recv", src_vrank=self.vrank, peer=source, nbytes=n,
+            deliver=_byte_copier(arr),
         )
         handle = yield from self._issue_async(req)
         return handle
+
+    def recv(
+        self,
+        source: int,
+        buf: HostPayload,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, CommStatus]:
+        """dcgn::recv — blocking receive; ``source`` may be ``ANY``."""
+        handle = yield from self.irecv(source, buf, nbytes)
+        status = yield from handle.wait()
+        return status
 
     def sendrecv(
         self,
@@ -269,19 +450,12 @@ class CpuKernelContext:
             data=sarr.copy(),
             done=self.sim.event(),
         )
-
-        def deliver(data: np.ndarray) -> None:
-            dview = rarr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
         rreq = CommRequest(
             op="recv",
             src_vrank=self.vrank,
             peer=source,
             nbytes=int(rarr.nbytes),
-            deliver=deliver,
+            deliver=_byte_copier(rarr),
             done=self.sim.event(),
         )
         yield self.sim.timeout(us(self._params.cpu.request_overhead_us))
@@ -340,22 +514,6 @@ class CpuKernelContext:
             extra=extra,
         )
 
-    def put(
-        self,
-        win: str,
-        dest: int,
-        buf: HostPayload,
-        offset: int = 0,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::put — one-sided write of ``buf`` into virtual rank
-        ``dest``'s region of window ``win`` at element ``offset``.
-
-        No matching receive exists anywhere: the local comm thread
-        drives an RDMA write into the target's registered region and
-        the *target* comm thread is never involved.  Returns once the
-        data is visible at the target (remote completion)."""
-        yield from self._issue(self._rma_put_request(win, dest, buf, offset))
-
     def iput(
         self,
         win: str,
@@ -370,6 +528,23 @@ class CpuKernelContext:
         )
         return handle
 
+    def put(
+        self,
+        win: str,
+        dest: int,
+        buf: HostPayload,
+        offset: int = 0,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::put — one-sided write of ``buf`` into virtual rank
+        ``dest``'s region of window ``win`` at element ``offset``.
+
+        No matching receive exists anywhere: the local comm thread
+        drives an RDMA write into the target's registered region and
+        the *target* comm thread is never involved.  Returns once the
+        data is visible at the target (remote completion)."""
+        handle = yield from self.iput(win, dest, buf, offset)
+        yield from handle.wait()
+
     def accumulate(
         self,
         win: str,
@@ -381,9 +556,10 @@ class CpuKernelContext:
         """dcgn::accumulate — one-sided read-modify-write into ``dest``'s
         window region (``"replace"`` gives an ordered overwrite).
         Same-pair accumulates apply in program order."""
-        yield from self._issue(
+        handle = yield from self._issue_async(
             self._rma_put_request(win, dest, buf, offset, op=op)
         )
+        yield from handle.wait()
 
     def _rma_get_request(
         self, win: str, source: int, buf: HostPayload, offset: int
@@ -410,20 +586,6 @@ class CpuKernelContext:
             extra={"win": str(win), "offset": int(offset)},
         )
 
-    def get(
-        self,
-        win: str,
-        source: int,
-        buf: HostPayload,
-        offset: int = 0,
-    ) -> Generator[Event, Any, CommStatus]:
-        """dcgn::get — one-sided read of virtual rank ``source``'s
-        window region into ``buf``; the target never posts anything."""
-        status = yield from self._issue(
-            self._rma_get_request(win, source, buf, offset)
-        )
-        return status
-
     def iget(
         self,
         win: str,
@@ -437,298 +599,18 @@ class CpuKernelContext:
         )
         return handle
 
-    # -- nonblocking collectives -------------------------------------------
-    def iallreduce(
+    def get(
         self,
-        sendbuf: HostPayload,
-        recvbuf: HostPayload,
-        op: str = "sum",
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking dcgn::allReduce: issue and keep computing.
-
-        The comm thread stages, combines and progresses the collective
-        in the background; ``recvbuf`` is valid once the handle's
-        ``wait`` returns.  Collective sequence numbers are claimed at
-        issue time, so blocking and nonblocking collectives may be
-        mixed as long as every rank issues them in the same order.
-        """
-        sarr = self._array(sendbuf, "iallreduce")
-        rarr = self._array(recvbuf, "iallreduce")
-
-        def deliver(data: np.ndarray) -> None:
-            rarr[...] = data.reshape(rarr.shape)
-
-        req = CommRequest(
-            op="allreduce",
-            src_vrank=self.vrank,
-            nbytes=int(sarr.nbytes),
-            data=sarr.copy(),
-            deliver=deliver,
-            extra={"coll_seq": self._next_coll(), "reduce_op": op},
-        )
-        handle = yield from self._issue_async(req)
-        return handle
-
-    def ibroadcast(
-        self,
-        root: int,
+        win: str,
+        source: int,
         buf: HostPayload,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking dcgn::broadcast from virtual rank ``root``."""
-        self._check_peer(root)
-        arr = self._array(buf, "ibroadcast")
-        n = int(nbytes) if nbytes is not None else int(arr.nbytes)
-        extra = {"coll_seq": self._next_coll()}
-        if self.vrank == root:
-            req = CommRequest(
-                op="bcast",
-                src_vrank=self.vrank,
-                root=root,
-                nbytes=n,
-                data=arr.copy(),
-                extra=extra,
-            )
-        else:
-
-            def deliver(data: np.ndarray) -> None:
-                dview = arr.view(np.uint8).reshape(-1)
-                sview = data.view(np.uint8).reshape(-1)
-                m = min(dview.size, sview.size)
-                dview[:m] = sview[:m]
-
-            req = CommRequest(
-                op="bcast",
-                src_vrank=self.vrank,
-                root=root,
-                nbytes=n,
-                deliver=deliver,
-                extra=extra,
-            )
-        handle = yield from self._issue_async(req)
-        return handle
-
-    def ibarrier(self) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking job-wide barrier."""
-        req = CommRequest(
-            op="barrier",
-            src_vrank=self.vrank,
-            extra={"coll_seq": self._next_coll()},
-        )
-        handle = yield from self._issue_async(req)
-        return handle
-
-    # -- collectives -------------------------------------------------------
-    def _next_coll(self) -> int:
-        seq = self._coll_seq
-        self._coll_seq += 1
-        return seq
-
-    def barrier(self) -> Generator[Event, Any, None]:
-        """dcgn::barrier across every virtual rank in the job."""
-        req = CommRequest(
-            op="barrier",
-            src_vrank=self.vrank,
-            extra={"coll_seq": self._next_coll()},
-        )
-        yield from self._issue(req)
-
-    def broadcast(
-        self,
-        root: int,
-        buf: HostPayload,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::broadcast from virtual rank ``root``."""
-        self._check_peer(root)
-        arr = self._array(buf, "broadcast")
-        n = int(nbytes) if nbytes is not None else int(arr.nbytes)
-        extra = {"coll_seq": self._next_coll()}
-        if self.vrank == root:
-            req = CommRequest(
-                op="bcast",
-                src_vrank=self.vrank,
-                root=root,
-                nbytes=n,
-                data=arr.copy(),
-                extra=extra,
-            )
-        else:
-
-            def deliver(data: np.ndarray) -> None:
-                dview = arr.view(np.uint8).reshape(-1)
-                sview = data.view(np.uint8).reshape(-1)
-                m = min(dview.size, sview.size)
-                dview[:m] = sview[:m]
-
-            req = CommRequest(
-                op="bcast",
-                src_vrank=self.vrank,
-                root=root,
-                nbytes=n,
-                deliver=deliver,
-                extra=extra,
-            )
-        yield from self._issue(req)
-
-    def allreduce(
-        self,
-        sendbuf: HostPayload,
-        recvbuf: HostPayload,
-        op: str = "sum",
-    ) -> Generator[Event, Any, None]:
-        """dcgn::allReduce with elementwise ``op``."""
-        sarr = self._array(sendbuf, "allreduce")
-        rarr = self._array(recvbuf, "allreduce")
-
-        def deliver(data: np.ndarray) -> None:
-            rarr[...] = data.reshape(rarr.shape)
-
-        req = CommRequest(
-            op="allreduce",
-            src_vrank=self.vrank,
-            nbytes=int(sarr.nbytes),
-            data=sarr.copy(),
-            deliver=deliver,
-            extra={"coll_seq": self._next_coll(), "reduce_op": op},
-        )
-        yield from self._issue(req)
-
-    def reduce(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload] = None,
-        op: str = "sum",
-    ) -> Generator[Event, Any, None]:
-        """dcgn::reduce to virtual rank ``root``."""
-        self._check_peer(root)
-        sarr = self._array(sendbuf, "reduce")
-        deliver = None
-        if self.vrank == root:
-            if recvbuf is None:
-                raise CommViolation("root needs a recv buffer for reduce")
-            rarr = self._array(recvbuf, "reduce")
-
-            def deliver(data: np.ndarray) -> None:
-                rarr[...] = data.reshape(rarr.shape)
-
-        req = CommRequest(
-            op="reduce",
-            src_vrank=self.vrank,
-            root=root,
-            nbytes=int(sarr.nbytes),
-            data=sarr.copy(),
-            deliver=deliver,
-            extra={"coll_seq": self._next_coll(), "reduce_op": op},
-        )
-        yield from self._issue(req)
-
-    def _gather_request(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload],
-    ) -> CommRequest:
-        self._check_peer(root)
-        sarr = self._array(sendbuf, "gather")
-        chunk = int(sarr.nbytes)
-        deliver = None
-        if self.vrank == root:
-            if recvbuf is None:
-                raise CommViolation("root needs a recv buffer for gather")
-            rarr = self._array(recvbuf, "gather")
-
-            def deliver(data: np.ndarray) -> None:
-                dview = rarr.view(np.uint8).reshape(-1)
-                sview = data.view(np.uint8).reshape(-1)
-                m = min(dview.size, sview.size)
-                dview[:m] = sview[:m]
-
-        return CommRequest(
-            op="gather",
-            src_vrank=self.vrank,
-            root=root,
-            nbytes=chunk,
-            data=sarr.copy(),
-            deliver=deliver,
-            extra={"coll_seq": self._next_coll(), "chunk": chunk},
-        )
-
-    def gather(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::gather — equal chunks from every rank to ``root``."""
-        yield from self._issue(self._gather_request(root, sendbuf, recvbuf))
-
-    def igather(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking gather: issue and keep computing (the comm
-        thread already progresses the MPI phase asynchronously)."""
-        handle = yield from self._issue_async(
-            self._gather_request(root, sendbuf, recvbuf)
-        )
-        return handle
-
-    def _scatter_request(
-        self,
-        root: int,
-        recvbuf: HostPayload,
-        sendbuf: Optional[HostPayload],
-    ) -> CommRequest:
-        self._check_peer(root)
-        rarr = self._array(recvbuf, "scatter")
-        chunk = int(rarr.nbytes)
-
-        def deliver(data: np.ndarray) -> None:
-            dview = rarr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
-        data = None
-        if self.vrank == root:
-            if sendbuf is None:
-                raise CommViolation("root needs a send buffer for scatter")
-            sarr = self._array(sendbuf, "scatter")
-            data = sarr.copy()
-        return CommRequest(
-            op="scatter",
-            src_vrank=self.vrank,
-            root=root,
-            nbytes=chunk,
-            data=data,
-            deliver=deliver,
-            extra={"coll_seq": self._next_coll(), "chunk": chunk},
-        )
-
-    def scatter(
-        self,
-        root: int,
-        recvbuf: HostPayload,
-        sendbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::scatter — equal chunks from ``root`` to every rank."""
-        yield from self._issue(self._scatter_request(root, recvbuf, sendbuf))
-
-    def iscatter(
-        self,
-        root: int,
-        recvbuf: HostPayload,
-        sendbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking scatter: issue and keep computing."""
-        handle = yield from self._issue_async(
-            self._scatter_request(root, recvbuf, sendbuf)
-        )
-        return handle
+        offset: int = 0,
+    ) -> Generator[Event, Any, CommStatus]:
+        """dcgn::get — one-sided read of virtual rank ``source``'s
+        window region into ``buf``; the target never posts anything."""
+        handle = yield from self.iget(win, source, buf, offset)
+        status = yield from handle.wait()
+        return status
 
     # -- slot groups -------------------------------------------------------
     def split(
@@ -736,21 +618,14 @@ class CpuKernelContext:
     ) -> Generator[Event, Any, Optional["CpuGroupComm"]]:
         """Collective ``comm_split`` over every virtual rank in the job.
 
-        All ranks must call it (in the same collective order); ranks
-        sharing a ``color`` get a :class:`CpuGroupComm` over the new
-        group, ordered by (key, vrank); a negative color opts out and
-        returns ``None``.
+        All ranks must call it (in the same world collective order);
+        ranks sharing a ``color`` get a :class:`CpuGroupComm` over the
+        new group, ordered by (key, vrank); a negative color opts out
+        and returns ``None``.
         """
-        req = CommRequest(
-            op="split",
-            src_vrank=self.vrank,
-            extra={
-                "coll_seq": self._next_coll(),
-                "color": int(color),
-                "key": int(key),
-            },
-        )
-        yield from self._issue(req)
+        req = self._coll("split", color=int(color), key=int(key))
+        handle = yield from self._kernel._issue_async(req)
+        yield from handle.wait()
         group = req.extra.get("group")
         if group is None:
             return None
@@ -766,271 +641,22 @@ class CpuKernelContext:
         return CpuGroupComm(self, group)
 
 
-class CpuGroupComm:
+class CpuGroupComm(_CpuCollectives):
     """Slot-group communication scope for a CPU kernel.
 
     Returned by :meth:`CpuKernelContext.split` /
-    :meth:`CpuKernelContext.group`.  Collectives issued here are scoped
-    to the group: the comm thread stages them against the group's local
-    membership, runs the MPI phase on the group's own node
-    sub-communicator (own tag space), and progresses them independently
-    of world collectives — concurrent collectives on disjoint groups
-    overlap on the wire.  ``root`` arguments are **group-local ranks**,
-    as in MPI.  Each group has its own collective ordering: every
-    member must issue the group's collectives in the same order, but
-    no order is required *between* groups.
+    :meth:`CpuKernelContext.group`; its collectives are the same ones
+    the kernel context runs on the world group (:class:`_CpuCollectives`),
+    scoped to ``group``.
     """
 
     def __init__(self, ctx: CpuKernelContext, group: DcgnGroup) -> None:
-        self._ctx = ctx
+        self._kernel = ctx
+        self._scope = group
         self.group = group
-
-    # -- identity ----------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        """This kernel's rank within the group."""
-        return self.group.rank_of(self._ctx.vrank)
-
-    @property
-    def size(self) -> int:
-        return self.group.size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<CpuGroupComm {self.group.name!r} "
             f"rank={self.rank}/{self.size}>"
         )
-
-    # -- plumbing ----------------------------------------------------------
-    def _next_coll(self) -> int:
-        seqs = self._ctx._group_seqs
-        seq = seqs.get(self.group.gid, 0)
-        seqs[self.group.gid] = seq + 1
-        return seq
-
-    def _extra(self, **kw) -> dict:
-        return {
-            "coll_seq": self._next_coll(),
-            "gid": self.group.gid,
-            **kw,
-        }
-
-    def _root_vrank(self, root: int) -> int:
-        if not (0 <= root < self.group.size):
-            raise CommViolation(
-                f"group root {root} out of range [0,{self.group.size})"
-            )
-        return self.group.vranks[root]
-
-    # -- collectives -------------------------------------------------------
-    def barrier(self) -> Generator[Event, Any, None]:
-        """Barrier across the group's members."""
-        req = CommRequest(
-            op="barrier", src_vrank=self._ctx.vrank, extra=self._extra()
-        )
-        yield from self._ctx._issue(req)
-
-    def ibarrier(self) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking group barrier."""
-        req = CommRequest(
-            op="barrier", src_vrank=self._ctx.vrank, extra=self._extra()
-        )
-        handle = yield from self._ctx._issue_async(req)
-        return handle
-
-    def _bcast_request(self, root: int, buf, nbytes) -> CommRequest:
-        root_vrank = self._root_vrank(root)
-        arr = self._ctx._array(buf, "broadcast")
-        n = int(nbytes) if nbytes is not None else int(arr.nbytes)
-        if self._ctx.vrank == root_vrank:
-            return CommRequest(
-                op="bcast", src_vrank=self._ctx.vrank, root=root_vrank,
-                nbytes=n, data=arr.copy(), extra=self._extra(),
-            )
-
-        def deliver(data: np.ndarray) -> None:
-            dview = arr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
-        return CommRequest(
-            op="bcast", src_vrank=self._ctx.vrank, root=root_vrank,
-            nbytes=n, deliver=deliver, extra=self._extra(),
-        )
-
-    def broadcast(
-        self, root: int, buf: HostPayload, nbytes: Optional[int] = None
-    ) -> Generator[Event, Any, None]:
-        """Broadcast from group rank ``root`` to the group."""
-        yield from self._ctx._issue(self._bcast_request(root, buf, nbytes))
-
-    def ibroadcast(
-        self, root: int, buf: HostPayload, nbytes: Optional[int] = None
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking group broadcast."""
-        handle = yield from self._ctx._issue_async(
-            self._bcast_request(root, buf, nbytes)
-        )
-        return handle
-
-    def _allreduce_request(self, sendbuf, recvbuf, op: str) -> CommRequest:
-        sarr = self._ctx._array(sendbuf, "allreduce")
-        rarr = self._ctx._array(recvbuf, "allreduce")
-
-        def deliver(data: np.ndarray) -> None:
-            rarr[...] = data.reshape(rarr.shape)
-
-        return CommRequest(
-            op="allreduce",
-            src_vrank=self._ctx.vrank,
-            nbytes=int(sarr.nbytes),
-            data=sarr.copy(),
-            deliver=deliver,
-            extra=self._extra(reduce_op=op),
-        )
-
-    def allreduce(
-        self, sendbuf: HostPayload, recvbuf: HostPayload, op: str = "sum"
-    ) -> Generator[Event, Any, None]:
-        """Allreduce across the group's members."""
-        yield from self._ctx._issue(
-            self._allreduce_request(sendbuf, recvbuf, op)
-        )
-
-    def iallreduce(
-        self, sendbuf: HostPayload, recvbuf: HostPayload, op: str = "sum"
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking group allreduce."""
-        handle = yield from self._ctx._issue_async(
-            self._allreduce_request(sendbuf, recvbuf, op)
-        )
-        return handle
-
-    def reduce(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload] = None,
-        op: str = "sum",
-    ) -> Generator[Event, Any, None]:
-        """Reduce to group rank ``root``."""
-        root_vrank = self._root_vrank(root)
-        sarr = self._ctx._array(sendbuf, "reduce")
-        deliver = None
-        if self._ctx.vrank == root_vrank:
-            if recvbuf is None:
-                raise CommViolation("root needs a recv buffer for reduce")
-            rarr = self._ctx._array(recvbuf, "reduce")
-
-            def deliver(data: np.ndarray) -> None:
-                rarr[...] = data.reshape(rarr.shape)
-
-        req = CommRequest(
-            op="reduce",
-            src_vrank=self._ctx.vrank,
-            root=root_vrank,
-            nbytes=int(sarr.nbytes),
-            data=sarr.copy(),
-            deliver=deliver,
-            extra=self._extra(reduce_op=op),
-        )
-        yield from self._ctx._issue(req)
-
-    def _gather_request(self, root, sendbuf, recvbuf) -> CommRequest:
-        root_vrank = self._root_vrank(root)
-        sarr = self._ctx._array(sendbuf, "gather")
-        chunk = int(sarr.nbytes)
-        deliver = None
-        if self._ctx.vrank == root_vrank:
-            if recvbuf is None:
-                raise CommViolation("root needs a recv buffer for gather")
-            rarr = self._ctx._array(recvbuf, "gather")
-
-            def deliver(data: np.ndarray) -> None:
-                dview = rarr.view(np.uint8).reshape(-1)
-                sview = data.view(np.uint8).reshape(-1)
-                m = min(dview.size, sview.size)
-                dview[:m] = sview[:m]
-
-        return CommRequest(
-            op="gather",
-            src_vrank=self._ctx.vrank,
-            root=root_vrank,
-            nbytes=chunk,
-            data=sarr.copy(),
-            deliver=deliver,
-            extra=self._extra(chunk=chunk),
-        )
-
-    def gather(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, None]:
-        """Gather equal chunks to group rank ``root`` (group order)."""
-        yield from self._ctx._issue(
-            self._gather_request(root, sendbuf, recvbuf)
-        )
-
-    def igather(
-        self,
-        root: int,
-        sendbuf: HostPayload,
-        recvbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking group gather."""
-        handle = yield from self._ctx._issue_async(
-            self._gather_request(root, sendbuf, recvbuf)
-        )
-        return handle
-
-    def _scatter_request(self, root, recvbuf, sendbuf) -> CommRequest:
-        root_vrank = self._root_vrank(root)
-        rarr = self._ctx._array(recvbuf, "scatter")
-        chunk = int(rarr.nbytes)
-
-        def deliver(data: np.ndarray) -> None:
-            dview = rarr.view(np.uint8).reshape(-1)
-            sview = data.view(np.uint8).reshape(-1)
-            m = min(dview.size, sview.size)
-            dview[:m] = sview[:m]
-
-        data = None
-        if self._ctx.vrank == root_vrank:
-            if sendbuf is None:
-                raise CommViolation("root needs a send buffer for scatter")
-            data = self._ctx._array(sendbuf, "scatter").copy()
-        return CommRequest(
-            op="scatter",
-            src_vrank=self._ctx.vrank,
-            root=root_vrank,
-            nbytes=chunk,
-            data=data,
-            deliver=deliver,
-            extra=self._extra(chunk=chunk),
-        )
-
-    def scatter(
-        self,
-        root: int,
-        recvbuf: HostPayload,
-        sendbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, None]:
-        """Scatter equal chunks from group rank ``root`` (group order)."""
-        yield from self._ctx._issue(
-            self._scatter_request(root, recvbuf, sendbuf)
-        )
-
-    def iscatter(
-        self,
-        root: int,
-        recvbuf: HostPayload,
-        sendbuf: Optional[HostPayload] = None,
-    ) -> Generator[Event, Any, DcgnRequestHandle]:
-        """Nonblocking group scatter."""
-        handle = yield from self._ctx._issue_async(
-            self._scatter_request(root, recvbuf, sendbuf)
-        )
-        return handle

@@ -13,11 +13,17 @@ that "for communication, we have to use global memory".
 Mechanically, each call writes a request descriptor into the slot's
 mailbox and spins on the completion flag; the host-side GPU-kernel
 thread does the rest.
+
+Collectives are scoped to a slot group, and the world is group 0
+(:data:`~repro.dcgn.groups.WORLD_GID`): ``comm.barrier(slot)`` is the
+world group's barrier, and ``comm.group("g").barrier(slot)`` runs the
+same code on group ``g``.  Every blocking call with a nonblocking twin
+is that twin followed by ``wait``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from ..gpusim.mailbox import MailboxRequest, SlotMailboxes
 from ..gpusim.memory import DeviceBuffer
 from ..sim.core import Event
 from .errors import CommViolation
-from .groups import DcgnGroup, GroupTable
+from .groups import WORLD_GID, DcgnGroup, GroupTable
 from .ranks import ANY, RankMap
 from .requests import CommStatus
 from .windows import DcgnWindowTable
@@ -59,8 +65,197 @@ class GpuRequestHandle:
         return result
 
 
-class GpuCommApi:
-    """Slot-based communication interface bound to one kernel block."""
+class _GpuCollectives:
+    """Every collective a GPU kernel can issue, scoped to one slot group.
+
+    :class:`GpuCommApi` is this scope over the world group and
+    :class:`GpuGroupComm` over any other group.  Collectives are staged
+    against the group's membership and progressed on the group's own
+    node-level MPI sub-communicator, so disjoint groups' collectives
+    overlap on the wire.  ``root`` arguments are **group ranks**
+    (vranks on the world).  Each group orders its own collectives, and
+    sequence numbers are claimed at post time, so every slot must issue
+    a group's (nonblocking or blocking) collectives in the same order —
+    the usual MPI rule.
+    """
+
+    _api: "GpuCommApi"
+    _scope: DcgnGroup
+
+    @property
+    def size(self) -> int:
+        """Members of the scope (every virtual rank on the world)."""
+        return self._scope.size
+
+    def rank(self, slot: int) -> int:
+        """The slot's rank in the scope (its vrank on the world)."""
+        return self._scope.rank_of(self._api._vrank(slot))
+
+    # -- plumbing -----------------------------------------------------------
+    def _root_vrank(self, root: int) -> int:
+        if not (0 <= root < self._scope.size):
+            raise CommViolation(
+                f"root {root} out of range [0,{self._scope.size}) in "
+                f"group {self._scope.name!r}"
+            )
+        return self._scope.vranks[root]
+
+    def _post(
+        self, slot: int, op: str, **args
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Post a collective descriptor on this scope, claiming the
+        group's next sequence number for ``slot``."""
+        api = self._api
+        gid = self._scope.gid
+        vrank = api._vrank(slot)
+        if vrank not in self._scope:
+            raise CommViolation(
+                f"slot {slot} (vrank {vrank}) is not a member of group "
+                f"{self._scope.name!r}"
+            )
+        key = (gid, slot)
+        seq = api._coll_counters.get(key, 0)
+        api._coll_counters[key] = seq + 1
+        req = yield from api._mbox.post(
+            slot, op, coll_seq=seq, gid=gid, **args
+        )
+        return GpuRequestHandle(api._mbox, req)
+
+    # -- collectives --------------------------------------------------------
+    def ibarrier(self, slot: int) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking barrier across the scope."""
+        handle = yield from self._post(slot, "barrier")
+        return handle
+
+    def barrier(self, slot: int) -> Generator[Event, Any, None]:
+        """dcgn::gpu::barrier(slot) across the scope."""
+        handle = yield from self.ibarrier(slot)
+        yield from handle.wait()
+
+    def ibroadcast(
+        self,
+        slot: int,
+        root: int,
+        buf: DeviceBuffer,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking broadcast from group rank ``root``: post and keep
+        computing."""
+        self._api._check_buf(buf, "broadcast")
+        n = int(nbytes) if nbytes is not None else buf.nbytes
+        handle = yield from self._post(
+            slot, "bcast", root=self._root_vrank(root), buf=buf, nbytes=n
+        )
+        return handle
+
+    def broadcast(
+        self,
+        slot: int,
+        root: int,
+        buf: DeviceBuffer,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::gpu::broadcast(slot, root, buf, size)."""
+        handle = yield from self.ibroadcast(slot, root, buf, nbytes)
+        yield from handle.wait()
+
+    def iallreduce(
+        self,
+        slot: int,
+        buf: DeviceBuffer,
+        op: str = "sum",
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking in-place allreduce on the slot's buffer."""
+        self._api._check_buf(buf, "allreduce")
+        n = int(nbytes) if nbytes is not None else buf.nbytes
+        handle = yield from self._post(
+            slot, "allreduce", buf=buf, nbytes=n, reduce_op=op
+        )
+        return handle
+
+    def allreduce(
+        self,
+        slot: int,
+        buf: DeviceBuffer,
+        op: str = "sum",
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::gpu::allReduce(slot, buf, op) — in-place result."""
+        handle = yield from self.iallreduce(slot, buf, op, nbytes)
+        yield from handle.wait()
+
+    def igather(
+        self,
+        slot: int,
+        root: int,
+        sendbuf: DeviceBuffer,
+        recvbuf: Optional[DeviceBuffer] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking gather: post and keep computing (the comm thread
+        progresses the collective asynchronously)."""
+        self._api._check_buf(sendbuf, "gather")
+        root_vrank = self._root_vrank(root)
+        if recvbuf is not None:
+            self._api._check_buf(recvbuf, "gather")
+        elif self._api._vrank(slot) == root_vrank:
+            raise CommViolation("gather root needs a recv buffer")
+        handle = yield from self._post(
+            slot, "gather", root=root_vrank, buf=sendbuf, rbuf=recvbuf,
+            nbytes=sendbuf.nbytes,
+        )
+        return handle
+
+    def gather(
+        self,
+        slot: int,
+        root: int,
+        sendbuf: DeviceBuffer,
+        recvbuf: Optional[DeviceBuffer] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::gpu::gather — equal chunks to group rank ``root``
+        (which supplies ``recvbuf``), in group order."""
+        handle = yield from self.igather(slot, root, sendbuf, recvbuf)
+        yield from handle.wait()
+
+    def iscatter(
+        self,
+        slot: int,
+        root: int,
+        recvbuf: DeviceBuffer,
+        sendbuf: Optional[DeviceBuffer] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking scatter: post and keep computing."""
+        self._api._check_buf(recvbuf, "scatter")
+        root_vrank = self._root_vrank(root)
+        if sendbuf is not None:
+            self._api._check_buf(sendbuf, "scatter")
+        elif self._api._vrank(slot) == root_vrank:
+            raise CommViolation("scatter root needs a send buffer")
+        handle = yield from self._post(
+            slot, "scatter", root=root_vrank, buf=recvbuf, sbuf=sendbuf,
+            nbytes=recvbuf.nbytes,
+        )
+        return handle
+
+    def scatter(
+        self,
+        slot: int,
+        root: int,
+        recvbuf: DeviceBuffer,
+        sendbuf: Optional[DeviceBuffer] = None,
+    ) -> Generator[Event, Any, None]:
+        """dcgn::gpu::scatter — equal chunks from group rank ``root``
+        (which supplies ``sendbuf``), in group order."""
+        handle = yield from self.iscatter(slot, root, recvbuf, sendbuf)
+        yield from handle.wait()
+
+
+class GpuCommApi(_GpuCollectives):
+    """Slot-based communication interface bound to one kernel block.
+
+    Its collectives are the world group's (:class:`_GpuCollectives`).
+    """
 
     def __init__(
         self,
@@ -69,8 +264,8 @@ class GpuCommApi:
         rankmap: RankMap,
         node_id: int,
         gpu_index: int,
-        coll_counters: Dict,
-        groups: Optional[GroupTable] = None,
+        coll_counters: Dict[Tuple[int, int], int],
+        groups: GroupTable,
         windows: Optional[DcgnWindowTable] = None,
     ) -> None:
         self._ctx = block_ctx
@@ -78,26 +273,23 @@ class GpuCommApi:
         self._rankmap = rankmap
         self._node_id = node_id
         self._gpu_index = gpu_index
-        #: Per-slot (and per slot-group) collective counters, shared
-        #: across blocks and launches (owned by the GPU-kernel thread).
+        #: Collective counters keyed by (gid, slot), world included;
+        #: shared across blocks and launches (owned by the GPU-kernel
+        #: thread).
         self._coll_counters = coll_counters
         #: Slot-group registry (the job's shared GroupTable).
         self._groups = groups
         #: One-sided window registry (kernel-side validation).
         self._windows = windows
+        self._api = self
+        self._scope = groups.group(WORLD_GID)
 
     # -- identity --------------------------------------------------------
     @property
     def n_slots(self) -> int:
         return self._mbox.n_slots
 
-    @property
-    def size(self) -> int:
-        """Total virtual ranks in the job."""
-        return self._rankmap.size
-
-    def rank(self, slot: int) -> int:
-        """dcgn::gpu::getRank(slot) — the slot's virtual rank."""
+    def _vrank(self, slot: int) -> int:
         return self._rankmap.slot_rank(self._node_id, self._gpu_index, slot)
 
     # -- helpers ------------------------------------------------------------
@@ -120,18 +312,28 @@ class GpuCommApi:
         if peer != ANY:
             self._rankmap.info(peer)
 
-    def _next_coll(self, slot: int) -> int:
-        seq = self._coll_counters.get(slot, 0)
-        self._coll_counters[slot] = seq + 1
-        return seq
+    # -- point-to-point (paper: dcgn::gpu::iSendTo/iRecvFrom) --------------
+    def isend(
+        self,
+        slot: int,
+        dest: int,
+        buf: DeviceBuffer,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking slot send: post the descriptor and keep computing.
 
-    def _next_group_coll(self, slot: int, gid: int) -> int:
-        key = (gid, slot)
-        seq = self._coll_counters.get(key, 0)
-        self._coll_counters[key] = seq + 1
-        return seq
+        The GPU-kernel thread snapshots the payload at harvest time
+        (the PCIe read), so the kernel must not overwrite ``buf`` until
+        ``wait`` returns.
+        """
+        self._check_buf(buf, "send")
+        self._check_peer(dest)
+        n = int(nbytes) if nbytes is not None else buf.nbytes
+        req = yield from self._mbox.post(
+            slot, "send", dest=dest, buf=buf, nbytes=n
+        )
+        return GpuRequestHandle(self._mbox, req)
 
-    # -- point-to-point ------------------------------------------------------
     def send(
         self,
         slot: int,
@@ -140,13 +342,24 @@ class GpuCommApi:
         nbytes: Optional[int] = None,
     ) -> Generator[Event, Any, None]:
         """dcgn::gpu::send(slot, dest, buf, size)."""
-        self._check_buf(buf, "send")
-        self._check_peer(dest)
+        handle = yield from self.isend(slot, dest, buf, nbytes)
+        yield from handle.wait()
+
+    def irecv(
+        self,
+        slot: int,
+        source: int,
+        buf: DeviceBuffer,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking slot receive into ``buf`` (read after ``wait``)."""
+        self._check_buf(buf, "recv")
+        self._check_peer(source)
         n = int(nbytes) if nbytes is not None else buf.nbytes
         req = yield from self._mbox.post(
-            slot, "send", dest=dest, buf=buf, nbytes=n
+            slot, "recv", source=source, buf=buf, nbytes=n
         )
-        yield from self._mbox.wait(req)
+        return GpuRequestHandle(self._mbox, req)
 
     def recv(
         self,
@@ -156,13 +369,8 @@ class GpuCommApi:
         nbytes: Optional[int] = None,
     ) -> Generator[Event, Any, CommStatus]:
         """dcgn::gpu::recv(slot, source, buf, size, &stat)."""
-        self._check_buf(buf, "recv")
-        self._check_peer(source)
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._mbox.post(
-            slot, "recv", source=source, buf=buf, nbytes=n
-        )
-        status = yield from self._mbox.wait(req)
+        handle = yield from self.irecv(slot, source, buf, nbytes)
+        status = yield from handle.wait()
         return status
 
     def sendrecv(
@@ -214,44 +422,6 @@ class GpuCommApi:
         )
         return status
 
-    # -- nonblocking point-to-point (paper: dcgn::gpu::iSendTo/iRecvFrom) --
-    def isend(
-        self,
-        slot: int,
-        dest: int,
-        buf: DeviceBuffer,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking slot send: post the descriptor and keep computing.
-
-        The GPU-kernel thread snapshots the payload at harvest time
-        (the PCIe read), so the kernel must not overwrite ``buf`` until
-        ``wait`` returns.
-        """
-        self._check_buf(buf, "isend")
-        self._check_peer(dest)
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._mbox.post(
-            slot, "send", dest=dest, buf=buf, nbytes=n
-        )
-        return GpuRequestHandle(self._mbox, req)
-
-    def irecv(
-        self,
-        slot: int,
-        source: int,
-        buf: DeviceBuffer,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking slot receive into ``buf`` (read after ``wait``)."""
-        self._check_buf(buf, "irecv")
-        self._check_peer(source)
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._mbox.post(
-            slot, "recv", source=source, buf=buf, nbytes=n
-        )
-        return GpuRequestHandle(self._mbox, req)
-
     #: Paper-style aliases (dcgn::gpu::iSendTo / iRecvFrom).
     iSendTo = isend
     iRecvFrom = irecv
@@ -300,6 +470,24 @@ class GpuCommApi:
         window.check_range(target, int(offset), n // window.dtype.itemsize)
         return n
 
+    def iput(
+        self,
+        slot: int,
+        win: str,
+        dest: int,
+        buf: DeviceBuffer,
+        offset: int = 0,
+        nbytes: Optional[int] = None,
+    ) -> Generator[Event, Any, GpuRequestHandle]:
+        """Nonblocking slot put: post the descriptor and keep computing
+        (``wait`` guarantees remote completion)."""
+        n = self._check_window(win, dest, buf, nbytes, offset, "put")
+        req = yield from self._mbox.post(
+            slot, "rma_put", win=str(win), dest=dest, buf=buf, nbytes=n,
+            offset=int(offset),
+        )
+        return GpuRequestHandle(self._mbox, req)
+
     def put(
         self,
         slot: int,
@@ -319,30 +507,8 @@ class GpuCommApi:
         thread RDMA-writes it into the remote window.  Completion is
         *remote*: when the call returns, a neighbor kernel reading its
         own window (after its own synchronization) sees the halo."""
-        n = self._check_window(win, dest, buf, nbytes, offset, "put")
-        req = yield from self._mbox.post(
-            slot, "rma_put", win=str(win), dest=dest, buf=buf, nbytes=n,
-            offset=int(offset),
-        )
-        yield from self._mbox.wait(req)
-
-    def iput(
-        self,
-        slot: int,
-        win: str,
-        dest: int,
-        buf: DeviceBuffer,
-        offset: int = 0,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking slot put: post the descriptor and keep computing
-        (``wait`` guarantees remote completion)."""
-        n = self._check_window(win, dest, buf, nbytes, offset, "iput")
-        req = yield from self._mbox.post(
-            slot, "rma_put", win=str(win), dest=dest, buf=buf, nbytes=n,
-            offset=int(offset),
-        )
-        return GpuRequestHandle(self._mbox, req)
+        handle = yield from self.iput(slot, win, dest, buf, offset, nbytes)
+        yield from handle.wait()
 
     def get(
         self,
@@ -390,174 +556,9 @@ class GpuCommApi:
     #: Paper-style aliases.
     iPutTo = iput
 
-    # -- collectives -------------------------------------------------------
-    def barrier(self, slot: int) -> Generator[Event, Any, None]:
-        """dcgn::gpu::barrier(slot) — job-wide barrier."""
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(slot, "barrier", coll_seq=seq)
-        yield from self._mbox.wait(req)
-
-    def broadcast(
-        self,
-        slot: int,
-        root: int,
-        buf: DeviceBuffer,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::gpu::broadcast(slot, root, buf, size)."""
-        self._check_buf(buf, "broadcast")
-        self._check_peer(root)
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "bcast", root=root, buf=buf, nbytes=n, coll_seq=seq
-        )
-        yield from self._mbox.wait(req)
-
-    def allreduce(
-        self,
-        slot: int,
-        buf: DeviceBuffer,
-        op: str = "sum",
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::gpu::allReduce(slot, buf, op) — in-place result."""
-        self._check_buf(buf, "allreduce")
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "allreduce", buf=buf, nbytes=n, coll_seq=seq, reduce_op=op
-        )
-        yield from self._mbox.wait(req)
-
-    # -- nonblocking collectives -------------------------------------------
-    def ibroadcast(
-        self,
-        slot: int,
-        root: int,
-        buf: DeviceBuffer,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking broadcast: post and keep computing.
-
-        Collective sequence numbers are claimed at post time, so every
-        slot must issue its (nonblocking or blocking) collectives in
-        the same order — the usual MPI rule.
-        """
-        self._check_buf(buf, "ibroadcast")
-        self._check_peer(root)
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "bcast", root=root, buf=buf, nbytes=n, coll_seq=seq
-        )
-        return GpuRequestHandle(self._mbox, req)
-
-    def iallreduce(
-        self,
-        slot: int,
-        buf: DeviceBuffer,
-        op: str = "sum",
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking in-place allreduce on the slot's buffer."""
-        self._check_buf(buf, "iallreduce")
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "allreduce", buf=buf, nbytes=n, coll_seq=seq, reduce_op=op
-        )
-        return GpuRequestHandle(self._mbox, req)
-
-    def ibarrier(self, slot: int) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking job-wide barrier."""
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(slot, "barrier", coll_seq=seq)
-        return GpuRequestHandle(self._mbox, req)
-
-    #: Paper-style alias (dcgn::gpu::iAllReduce).
-    iAllreduce = iallreduce
-    iBroadcast = ibroadcast
-
-    # -- gather / scatter ---------------------------------------------------
-    def gather(
-        self,
-        slot: int,
-        root: int,
-        sendbuf: DeviceBuffer,
-        recvbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::gpu::gather — equal chunks to virtual rank ``root``
-        (which supplies ``recvbuf``)."""
-        req = yield from self._post_gather(slot, root, sendbuf, recvbuf)
-        yield from self._mbox.wait(req)
-
-    def igather(
-        self,
-        slot: int,
-        root: int,
-        sendbuf: DeviceBuffer,
-        recvbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking gather: post and keep computing (the comm thread
-        progresses the collective asynchronously)."""
-        req = yield from self._post_gather(slot, root, sendbuf, recvbuf)
-        return GpuRequestHandle(self._mbox, req)
-
-    def _post_gather(self, slot, root, sendbuf, recvbuf, extra=None):
-        self._check_buf(sendbuf, "gather")
-        self._check_peer(root)
-        if recvbuf is not None:
-            self._check_buf(recvbuf, "gather")
-        elif self.rank(slot) == root:
-            raise CommViolation("gather root needs a recv buffer")
-        args = dict(extra or {})
-        if "coll_seq" not in args:
-            args["coll_seq"] = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "gather", root=root, buf=sendbuf, rbuf=recvbuf,
-            nbytes=sendbuf.nbytes, **args,
-        )
-        return req
-
-    def scatter(
-        self,
-        slot: int,
-        root: int,
-        recvbuf: DeviceBuffer,
-        sendbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, None]:
-        """dcgn::gpu::scatter — equal chunks from virtual rank ``root``
-        (which supplies ``sendbuf``)."""
-        req = yield from self._post_scatter(slot, root, recvbuf, sendbuf)
-        yield from self._mbox.wait(req)
-
-    def iscatter(
-        self,
-        slot: int,
-        root: int,
-        recvbuf: DeviceBuffer,
-        sendbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, "GpuRequestHandle"]:
-        """Nonblocking scatter: post and keep computing."""
-        req = yield from self._post_scatter(slot, root, recvbuf, sendbuf)
-        return GpuRequestHandle(self._mbox, req)
-
-    def _post_scatter(self, slot, root, recvbuf, sendbuf, extra=None):
-        self._check_buf(recvbuf, "scatter")
-        self._check_peer(root)
-        if sendbuf is not None:
-            self._check_buf(sendbuf, "scatter")
-        elif self.rank(slot) == root:
-            raise CommViolation("scatter root needs a send buffer")
-        args = dict(extra or {})
-        if "coll_seq" not in args:
-            args["coll_seq"] = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "scatter", root=root, buf=recvbuf, sbuf=sendbuf,
-            nbytes=recvbuf.nbytes, **args,
-        )
-        return req
+    #: Paper-style aliases (dcgn::gpu::iAllReduce / iBroadcast).
+    iAllreduce = _GpuCollectives.iallreduce
+    iBroadcast = _GpuCollectives.ibroadcast
 
     # -- slot groups --------------------------------------------------------
     def split(
@@ -565,218 +566,36 @@ class GpuCommApi:
     ) -> Generator[Event, Any, Optional["GpuGroupComm"]]:
         """Collective ``comm_split`` over every virtual rank in the job.
 
-        Every slot (and every CPU rank) must call it in the same
+        Every slot (and every CPU rank) must call it in the same world
         collective order; slots sharing a ``color`` get a
         :class:`GpuGroupComm` over the new group, ordered by
         (key, vrank).  A negative color opts out and returns ``None``.
         """
-        seq = self._next_coll(slot)
-        req = yield from self._mbox.post(
-            slot, "split", color=int(color), key=int(key), coll_seq=seq
+        handle = yield from self._post(
+            slot, "split", color=int(color), key=int(key)
         )
-        group = yield from self._mbox.wait(req)
+        group = yield from handle.wait()
         if group is None:
             return None
         return GpuGroupComm(self, group)
 
     def group(self, name: str) -> "GpuGroupComm":
         """Handle for a slot group declared in ``DcgnConfig``."""
-        if self._groups is None:
-            raise CommViolation("this job has no slot-group registry")
         return GpuGroupComm(self, self._groups.by_name(name))
 
 
-class GpuGroupComm:
+class GpuGroupComm(_GpuCollectives):
     """Slot-group communication scope inside a GPU kernel.
 
-    Returned by :meth:`GpuCommApi.split` / :meth:`GpuCommApi.group`.
-    Collectives here are scoped to the group — staged against the
-    group's membership and progressed on the group's own node-level MPI
-    sub-communicator, independently of world collectives, so disjoint
-    groups' collectives overlap on the wire.  ``root`` arguments are
-    **group-local ranks**; each group orders its own collectives.
+    Returned by :meth:`GpuCommApi.split` / :meth:`GpuCommApi.group`;
+    its collectives are the same ones the kernel's ``comm`` runs on the
+    world group (:class:`_GpuCollectives`), scoped to ``group``.
     """
 
     def __init__(self, api: GpuCommApi, group: DcgnGroup) -> None:
         self._api = api
+        self._scope = group
         self.group = group
-
-    # -- identity -----------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self.group.size
-
-    def rank(self, slot: int) -> int:
-        """The slot's rank within the group."""
-        return self.group.rank_of(self._api.rank(slot))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<GpuGroupComm {self.group.name!r} size={self.size}>"
-
-    # -- plumbing -----------------------------------------------------------
-    def _check_member(self, slot: int) -> int:
-        vrank = self._api.rank(slot)
-        if vrank not in self.group:
-            raise CommViolation(
-                f"slot {slot} (vrank {vrank}) is not a member of group "
-                f"{self.group.name!r}"
-            )
-        return vrank
-
-    def _extra(self, slot: int) -> Dict:
-        return {
-            "coll_seq": self._api._next_group_coll(slot, self.group.gid),
-            "gid": self.group.gid,
-        }
-
-    def _root_vrank(self, root: int) -> int:
-        if not (0 <= root < self.group.size):
-            raise CommViolation(
-                f"group root {root} out of range [0,{self.group.size})"
-            )
-        return self.group.vranks[root]
-
-    # -- collectives --------------------------------------------------------
-    def barrier(self, slot: int) -> Generator[Event, Any, None]:
-        """Barrier across the group."""
-        self._check_member(slot)
-        req = yield from self._api._mbox.post(
-            slot, "barrier", **self._extra(slot)
-        )
-        yield from self._api._mbox.wait(req)
-
-    def ibarrier(self, slot: int) -> Generator[Event, Any, GpuRequestHandle]:
-        """Nonblocking group barrier."""
-        self._check_member(slot)
-        req = yield from self._api._mbox.post(
-            slot, "barrier", **self._extra(slot)
-        )
-        return GpuRequestHandle(self._api._mbox, req)
-
-    def broadcast(
-        self,
-        slot: int,
-        root: int,
-        buf: DeviceBuffer,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """Broadcast from *group rank* ``root`` across the group."""
-        self._check_member(slot)
-        self._api._check_buf(buf, "broadcast")
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._api._mbox.post(
-            slot, "bcast", root=self._root_vrank(root), buf=buf,
-            nbytes=n, **self._extra(slot),
-        )
-        yield from self._api._mbox.wait(req)
-
-    def ibroadcast(
-        self,
-        slot: int,
-        root: int,
-        buf: DeviceBuffer,
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, GpuRequestHandle]:
-        """Nonblocking group broadcast."""
-        self._check_member(slot)
-        self._api._check_buf(buf, "ibroadcast")
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._api._mbox.post(
-            slot, "bcast", root=self._root_vrank(root), buf=buf,
-            nbytes=n, **self._extra(slot),
-        )
-        return GpuRequestHandle(self._api._mbox, req)
-
-    def allreduce(
-        self,
-        slot: int,
-        buf: DeviceBuffer,
-        op: str = "sum",
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, None]:
-        """In-place allreduce across the group."""
-        self._check_member(slot)
-        self._api._check_buf(buf, "allreduce")
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._api._mbox.post(
-            slot, "allreduce", buf=buf, nbytes=n, reduce_op=op,
-            **self._extra(slot),
-        )
-        yield from self._api._mbox.wait(req)
-
-    def iallreduce(
-        self,
-        slot: int,
-        buf: DeviceBuffer,
-        op: str = "sum",
-        nbytes: Optional[int] = None,
-    ) -> Generator[Event, Any, GpuRequestHandle]:
-        """Nonblocking in-place group allreduce."""
-        self._check_member(slot)
-        self._api._check_buf(buf, "iallreduce")
-        n = int(nbytes) if nbytes is not None else buf.nbytes
-        req = yield from self._api._mbox.post(
-            slot, "allreduce", buf=buf, nbytes=n, reduce_op=op,
-            **self._extra(slot),
-        )
-        return GpuRequestHandle(self._api._mbox, req)
-
-    def gather(
-        self,
-        slot: int,
-        root: int,
-        sendbuf: DeviceBuffer,
-        recvbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, None]:
-        """Gather equal chunks to *group rank* ``root`` (group order)."""
-        self._check_member(slot)
-        req = yield from self._api._post_gather(
-            slot, self._root_vrank(root), sendbuf, recvbuf,
-            extra=self._extra(slot),
-        )
-        yield from self._api._mbox.wait(req)
-
-    def igather(
-        self,
-        slot: int,
-        root: int,
-        sendbuf: DeviceBuffer,
-        recvbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, GpuRequestHandle]:
-        """Nonblocking group gather."""
-        self._check_member(slot)
-        req = yield from self._api._post_gather(
-            slot, self._root_vrank(root), sendbuf, recvbuf,
-            extra=self._extra(slot),
-        )
-        return GpuRequestHandle(self._api._mbox, req)
-
-    def scatter(
-        self,
-        slot: int,
-        root: int,
-        recvbuf: DeviceBuffer,
-        sendbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, None]:
-        """Scatter equal chunks from *group rank* ``root``."""
-        self._check_member(slot)
-        req = yield from self._api._post_scatter(
-            slot, self._root_vrank(root), recvbuf, sendbuf,
-            extra=self._extra(slot),
-        )
-        yield from self._api._mbox.wait(req)
-
-    def iscatter(
-        self,
-        slot: int,
-        root: int,
-        recvbuf: DeviceBuffer,
-        sendbuf: Optional[DeviceBuffer] = None,
-    ) -> Generator[Event, Any, GpuRequestHandle]:
-        """Nonblocking group scatter."""
-        self._check_member(slot)
-        req = yield from self._api._post_scatter(
-            slot, self._root_vrank(root), recvbuf, sendbuf,
-            extra=self._extra(slot),
-        )
-        return GpuRequestHandle(self._api._mbox, req)

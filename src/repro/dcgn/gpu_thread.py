@@ -24,7 +24,7 @@ of §5.2 that make GPU-sourced messaging expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class GpuKernelThread:
         self._mailboxes: List[SlotMailboxes] = []
         self._handles: List[KernelHandle] = []
         self._inflight: List[_Inflight] = []
-        #: Per-slot collective sequence counters (persist across launches).
-        self._coll_counters: Dict[int, int] = {}
+        #: Collective sequence counters keyed by (gid, slot), world
+        #: included (persist across launches).
+        self._coll_counters: Dict[Tuple[int, int], int] = {}
         self._shutdown = False
         #: Fired when the comm thread completes one of our in-flight
         #: requests (paper §3.2.2: the comm thread "signals CPU- and
@@ -307,11 +308,12 @@ class GpuKernelThread:
 
     @staticmethod
     def _coll_extra(args: dict, **extra) -> dict:
-        """Collective request extras (slot-group id passes through)."""
-        out = {"coll_seq": int(args["coll_seq"]), **extra}
-        if "gid" in args:
-            out["gid"] = int(args["gid"])
-        return out
+        """Collective request extras: sequence number and slot group."""
+        return {
+            "coll_seq": int(args["coll_seq"]),
+            "gid": int(args["gid"]),
+            **extra,
+        }
 
     def _ingest(
         self, mbox: SlotMailboxes, mreq: MailboxRequest
@@ -471,11 +473,11 @@ class GpuKernelThread:
                 op="split",
                 src_vrank=vrank,
                 done=done,
-                extra={
-                    "coll_seq": int(args["coll_seq"]),
-                    "color": int(args.get("color", -1)),
-                    "key": int(args.get("key", 0)),
-                },
+                extra=self._coll_extra(
+                    args,
+                    color=int(args.get("color", -1)),
+                    key=int(args.get("key", 0)),
+                ),
             )
             writeback = None
         else:

@@ -14,11 +14,18 @@ Groups come from two places:
 
 * **declared** — ``DcgnConfig(slot_groups={...})`` names groups up
   front; kernels fetch them by name (``ctx.group("row0")`` /
-  ``ctx.comm.group(slot, "row0")``);
+  ``ctx.comm.group("row0")``);
 * **split** — kernels call the collective ``split(color, key)``
   (CPU: ``ctx.split``, GPU: ``ctx.comm.split``), the comm threads
   exchange the color/key pairs over the node communicator, and every
   color becomes a fresh group — ``MPI_Comm_split`` at the slot level.
+
+The world is group 0 (:data:`WORLD_GID`), registered by every
+:class:`GroupTable` and backed by the node communicator itself rather
+than a derived one.  Each kernel side (CPU, GPU) has one implementation
+of every collective: ``ctx.barrier()`` is the world group's barrier,
+and ``ctx.group("row0").barrier()`` is the same code on ``row0``; the
+comm threads stage and execute both the same way.
 
 The :class:`GroupTable` is shared by all of a job's comm threads;
 whichever thread first sees a complete split registers the groups (all
@@ -38,7 +45,7 @@ from .ranks import RankMap
 
 __all__ = ["DcgnGroup", "GroupTable", "WORLD_GID"]
 
-#: gid of the implicit all-ranks group.
+#: gid of the world group (every virtual rank, on the node communicator).
 WORLD_GID = 0
 
 

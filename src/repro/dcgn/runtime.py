@@ -230,34 +230,9 @@ class DcgnRuntime:
             )
         return DcgnReport(self)
 
-    def drain(self) -> Generator[Event, Any, None]:
-        """In-simulation wind-down: join the kernels, then stop the
-        service threads (the co-tenant analogue of :meth:`run`'s
-        shutdown phase).
-
-        :meth:`run` drives the whole simulation itself, which only
-        works for a dedicated cluster.  A DCGN job *embedded* in a
-        larger simulation — placed by the serving scheduler next to
-        other jobs — yields from this instead (typically as the job's
-        ``finalize``), so the wind-down happens at the right simulated
-        time without monopolizing the event loop.
-        """
-        for p in self._kernel_procs + self._launchers:
-            yield p
-        for ct in self.comm_threads:
-            ct.shutdown()
-        for gt in self.gpu_threads.values():
-            gt.shutdown()
-        for ct in self.comm_threads:
-            if ct.proc.is_alive:
-                yield ct.proc
-        for gt in self.gpu_threads.values():
-            if gt.proc.is_alive:
-                yield gt.proc
-
     def shutdown(self) -> None:
         """Release the job's communicator state (driver-level; after
-        :meth:`run` or :meth:`drain`).
+        :meth:`run`).
 
         Frees every slot group's sub-communicator, severs the DCGN
         windows' underlying MPI windows, and — when the runtime built

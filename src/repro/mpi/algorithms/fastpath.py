@@ -469,8 +469,9 @@ class FastPathEngine(ScheduleEngine):
         spans,
     ) -> None:
         """Re-emit a cached span skeleton, shifted to this instance's
-        base arrival — byte-identical to what :meth:`_record_spans`
-        would have produced had the DAG been re-resolved."""
+        base arrival — the tree :meth:`_record_spans` would have
+        produced had the DAG been re-resolved, up to float rounding of
+        the base shift."""
         comm = self.comm
         sim = comm.sim
         size = comm.size

@@ -11,6 +11,7 @@ from repro.dcgn import (
     CollectiveMismatch,
     DcgnConfig,
     DcgnRuntime,
+    WORLD_GID,
 )
 from repro.hw import HWParams, build_cluster, paper_cluster
 from repro.sim import Simulator, us
@@ -143,10 +144,10 @@ class TestCollectiveMismatches:
                 yield from ctx.barrier()
             else:
                 # Issue two barrier requests with the SAME sequence
-                # number by resetting the counter (simulating a buggy
-                # user thread reusing a context).
+                # number by resetting the world group's counter
+                # (simulating a buggy user thread reusing a context).
                 yield from ctx.barrier()
-                ctx._coll_seq = 0
+                ctx._group_seqs[WORLD_GID] = 0
                 yield from ctx.barrier()
 
         rt.launch_cpu(kernel)
@@ -213,7 +214,9 @@ class TestDeliveryAliasing:
                 data=payload.copy() if (is_root or op == "allreduce") else None,
                 deliver=None,
                 done=sim.event(),
-                extra=dict({"coll_seq": 0}, **extra_fields),
+                extra=dict(
+                    {"coll_seq": 0, "gid": WORLD_GID}, **extra_fields
+                ),
             )
             reqs.append(req)
 

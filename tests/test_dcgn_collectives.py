@@ -5,10 +5,12 @@ import pytest
 
 from repro.dcgn import (
     CollectiveMismatch,
+    CommViolation,
     DcgnConfig,
     DcgnRuntime,
     NodeConfig,
 )
+from repro.gpusim import LaunchConfig
 from repro.hw import build_cluster, paper_cluster
 from repro.sim import Simulator, us
 
@@ -240,3 +242,44 @@ class TestCollectiveErrors:
         rt.launch_cpu(kernel)
         with pytest.raises(CollectiveMismatch):
             rt.run(max_time=1.0)
+
+    @pytest.mark.parametrize("side", ["cpu", "gpu"])
+    @pytest.mark.parametrize("scope", ["world", "group"])
+    def test_out_of_range_root_is_comm_violation(self, side, scope):
+        """One root rule on every scope: an out-of-range root is kernel
+        misuse, raised (catchable) at issue time."""
+        sim = Simulator()
+        cluster = build_cluster(sim, paper_cluster(nodes=2))
+        cfg = DcgnConfig.homogeneous(
+            2, cpu_threads=int(side == "cpu"), gpus=int(side == "gpu"),
+            slot_groups={"g": [1, 0]},
+        )
+        rt = DcgnRuntime(cluster, cfg)
+        caught = []
+
+        def cpu_kernel(ctx):
+            comm = ctx if scope == "world" else ctx.group("g")
+            for root in (-1, comm.size):
+                try:
+                    yield from comm.broadcast(root, np.zeros(2))
+                except CommViolation as e:
+                    caught.append(str(e))
+            yield from comm.barrier()
+
+        def gpu_kernel(kctx):
+            comm = kctx.comm if scope == "world" else kctx.comm.group("g")
+            buf = kctx.device.alloc((2,), name="b")
+            for root in (-1, comm.size):
+                try:
+                    yield from comm.broadcast(0, root, buf)
+                except CommViolation as e:
+                    caught.append(str(e))
+            yield from comm.barrier(0)
+
+        if side == "cpu":
+            rt.launch_cpu(cpu_kernel)
+        else:
+            rt.launch_gpu(gpu_kernel, config=LaunchConfig(grid_blocks=1))
+        rt.run(max_time=60.0)
+        assert len(caught) == 4
+        assert all("out of range" in msg for msg in caught)

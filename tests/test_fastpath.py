@@ -312,3 +312,59 @@ def test_double_deposit_detected():
     inst.deposit(0, None, object(), None)
     with pytest.raises(MpiError, match="deposited twice"):
         inst.deposit(0, None, object(), None)
+
+
+class _NeverHit(dict):
+    """A fin cache that stores but never serves: every collective
+    resolves cold."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _traced_barriers(n_ranks, n_barriers, cold):
+    sim = Simulator()
+    cluster = build_cluster(
+        sim, paper_cluster(nodes=n_ranks, gpus_per_node=0)
+    )
+    rec = sim.attach_spans()
+    job = MpiJob(
+        cluster, block_placement(n_ranks, n_ranks), backend="analytic"
+    )
+    if cold:
+        job.comm.engine._fin_cache = _NeverHit()
+
+    def prog(ctx):
+        for _ in range(n_barriers):
+            yield from ctx.barrier()
+
+    job.start(prog)
+    job.run()
+    return sim, rec
+
+
+def _span_tree(rec):
+    """Span structure (name, category, track, parent position) and the
+    flat list of span start/end times."""
+    spans = list(rec.spans)
+    pos = {s.sid: i for i, s in enumerate(spans)}
+    shape = [
+        (s.name, s.category, s.track, pos.get(s.parent)) for s in spans
+    ]
+    times = [t for s in spans for t in (s.t0, s.t1)]
+    return shape, times
+
+
+def test_replayed_spans_match_cold_resolve():
+    """A traced fin-cache hit re-emits the span tree a cold resolve of
+    the same collective records: same names, tracks and parent links,
+    and the same times up to the rounding of the base-arrival shift."""
+    sim_hit, rec_hit = _traced_barriers(8, 5, cold=False)
+    sim_cold, rec_cold = _traced_barriers(8, 5, cold=True)
+    assert sim_hit.stats.fastpath_sched_cache_hits > 0
+    assert sim_cold.stats.fastpath_sched_cache_hits == 0
+    assert rec_hit.count("round") > 0
+    shape_hit, times_hit = _span_tree(rec_hit)
+    shape_cold, times_cold = _span_tree(rec_cold)
+    assert shape_hit == shape_cold
+    assert times_hit == pytest.approx(times_cold, rel=1e-12, abs=1e-18)

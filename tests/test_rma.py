@@ -205,6 +205,47 @@ class TestRequests:
         job.run()
         assert list(seen["after_flush"]) == [3.5, 3.5]
 
+    @pytest.mark.parametrize("coalesce", [False, True])
+    @pytest.mark.parametrize("backend", ["exact", "analytic"])
+    def test_flush_all_completes_every_target(self, backend, coalesce):
+        """flush_all completes this rank's pending puts to every target:
+        small eager ones (buffered on a coalescing window) and large
+        rendezvous ones still on the wire when ``put`` returned.  The
+        analytic backend lands data at issue, so there the return time
+        is what shows the flush."""
+        sim = Simulator()
+        cluster = build_cluster(sim, ClusterSpec(nodes=4, gpus_per_node=0))
+        job = MpiJob(cluster, list(range(4)), backend=backend)
+        n = (64 * 1024) // 8
+        win = Window.allocate(job.comm, n, coalesce=coalesce)
+        seen = {}
+
+        def prog(ctx):
+            w = win.ctx(ctx.rank)
+            if ctx.rank == 0:
+                yield from w.lock_all()
+                t_issue = ctx.sim.now
+                for t in range(1, ctx.size):
+                    yield from w.put(t, np.full(2, float(t)))
+                    yield from w.put(t, np.full(n - 2, 10.0 * t), offset=2)
+                yield from w.flush_all()
+                seen["flush_s"] = ctx.sim.now - t_issue
+                for t in range(1, ctx.size):
+                    seen[t] = win.region(t).copy()
+                yield from w.unlock_all()
+            else:
+                yield ctx.sim.timeout(0)
+
+        job.start(prog)
+        job.run()
+        assert seen.pop("flush_s") >= cluster.interconnect.wire_time(
+            0, 3, (n - 2) * 8
+        )
+        assert sorted(seen) == [1, 2, 3]
+        for t, region in seen.items():
+            assert list(region[:2]) == [float(t)] * 2
+            assert (region[2:] == 10.0 * t).all()
+
     def test_get_snapshots_at_nic_read_time(self):
         """Writes landing in the target region while the get's payload
         is on the wire must NOT appear in the result — the NIC read

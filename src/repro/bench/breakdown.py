@@ -3,8 +3,9 @@
 The paper's abstract promises to "indicate the locations where this
 overhead accumulates" and §5.2 narrates it ("Three separate
 communications with the source GPU must take place...").  This module
-instruments a single 0-byte send end-to-end and renders the waterfall
-for the CPU:CPU and GPU:GPU paths.
+runs a single 0-byte send under a span recorder and renders the
+waterfall for the CPU:CPU and GPU:GPU paths from the ``dcgn.req``
+stage instants (see :mod:`repro.dcgn.requests`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..dcgn import DcgnConfig, DcgnRuntime, NodeConfig
-from ..dcgn.requests import CommRequest
+from ..dcgn.requests import request_stages
 from ..hw import build_cluster, paper_cluster
 from ..hw.params import HWParams
 from ..sim.core import Simulator, us
@@ -29,13 +30,15 @@ def send_lifecycle(
     params: Optional[HWParams] = None,
     seed: int = 0,
 ) -> Dict[str, Dict[str, float]]:
-    """Run one DCGN send+recv pair and return per-request stage marks.
+    """Run one DCGN send+recv pair and return per-request stage times.
 
     ``kind`` ∈ {"cpu", "gpu"}: both endpoints of the given kind, on two
-    different nodes.  Returns ``{"send": marks, "recv": marks}`` with
-    stage timestamps in seconds.
+    different nodes.  Returns ``{"send": stages, "recv": stages}``, each
+    mapping a stage name to its timestamp in seconds (see
+    :func:`~repro.dcgn.requests.request_stages`).
     """
     sim = Simulator()
+    recorder = sim.attach_spans()
     cluster = build_cluster(
         sim, paper_cluster(nodes=2, params=params, seed=seed)
     )
@@ -44,8 +47,6 @@ def send_lifecycle(
     else:
         cfg = DcgnConfig.homogeneous(2, gpus=1, slots_per_gpu=1)
     rt = DcgnRuntime(cluster, cfg)
-    for ct in rt.comm_threads:
-        ct.captured = []
 
     if kind == "cpu":
 
@@ -71,21 +72,17 @@ def send_lifecycle(
 
         rt.launch_gpu(gpu_kernel)
     rt.run(max_time=10.0)
-    captured: List[CommRequest] = []
-    for ct in rt.comm_threads:
-        captured.extend(ct.captured or [])
-    out: Dict[str, Dict[str, float]] = {}
-    for req in captured:
-        if req.op in ("send", "recv"):
-            out[req.op] = dict(req.marks)
-    return out
+    return {
+        op: stages
+        for op, stages in request_stages(recorder).values()
+        if op in ("send", "recv")
+    }
 
-
-def _stage_rows(marks: Dict[str, float], order: List[Tuple[str, str, str]]):
+def _stage_rows(stages: Dict[str, float], order: List[Tuple[str, str, str]]):
     rows = []
     for start, end, label in order:
-        if start in marks and end in marks:
-            rows.append((label, (marks[end] - marks[start]) / us(1.0)))
+        if start in stages and end in stages:
+            rows.append((label, (stages[end] - stages[start]) / us(1.0)))
     return rows
 
 

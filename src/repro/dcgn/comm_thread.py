@@ -42,7 +42,9 @@ from .errors import CollectiveMismatch, DcgnError
 from .groups import GroupTable
 from .queues import WorkQueue
 from .ranks import ANY, RankMap
-from .requests import COLLECTIVE_OPS, RMA_OPS, CommRequest, CommStatus
+from .requests import (
+    COLLECTIVE_OPS, RMA_OPS, CommRequest, CommStatus, record_stage,
+)
 from .windows import DcgnWindowTable
 
 __all__ = ["CommThread", "HDR_TAG", "PAYLOAD_TAG_BASE"]
@@ -109,6 +111,10 @@ class CommThread:
     ) -> None:
         self.sim = sim
         self.node = node
+        #: Node-communicator context.  Its ``rank`` is this node's
+        #: job-local index, which is how the rank map, group table and
+        #: windows address nodes; ``node.node_id`` is the cluster id and
+        #: differs when ``DcgnConfig.node_ids`` places the job elsewhere.
         self.mpi = mpi_ctx
         self.rankmap = rankmap
         #: Slot-group registry.  Must be the ONE table shared by all of
@@ -149,9 +155,6 @@ class CommThread:
         self._hdr_req: Optional[Request] = None
         #: Counters for reports.
         self.stats: Dict[str, int] = {}
-        #: When set (by diagnostics/benchmarks), every handled request is
-        #: appended here so its lifecycle marks can be inspected.
-        self.captured: Optional[List[CommRequest]] = None
         self.proc = sim.process(self._run(), name=self.name)
 
     # -- external interface ----------------------------------------------
@@ -162,7 +165,6 @@ class CommThread:
 
     def enqueue_from_cpu(self, req: CommRequest) -> Generator[Event, Any, None]:
         """CPU-kernel-thread entry point: put + kick GPU pollers."""
-        req.enqueued_at = self.sim.now
         yield from self.workq.put(req)
         self.kick.fire()
 
@@ -171,7 +173,6 @@ class CommThread:
     ) -> Generator[Event, Any, None]:
         """GPU-kernel-thread entry point (no kick: GPU-only traffic must
         pay the polling interval, per Table 1's GPU-only rows)."""
-        req.enqueued_at = self.sim.now
         yield from self.workq.put(req)
 
     # -- main loop ---------------------------------------------------------
@@ -285,12 +286,12 @@ class CommThread:
                 tag=PAYLOAD_TAG_BASE + seq % PAYLOAD_TAG_MOD,
             )
         self._bump("wire_arrivals")
-        self.sim.trace(
-            "comm.wire_arrival",
-            node=self.node.node_id,
-            src=src_vrank,
-            dst=dst_vrank,
-        )
+        spans = self.sim.spans
+        if spans is not None:
+            spans.instant(
+                self.sim.now, "wire_arrival", "dcgn.wire", self.name,
+                {"src": src_vrank, "dst": dst_vrank},
+            )
         yield from self._match_arrival(
             _Unexpected(src_vrank, dst_vrank, nbytes, data)
         )
@@ -309,12 +310,12 @@ class CommThread:
             payload = req.data.view(np.uint8).reshape(-1)[: req.nbytes]
         self._inflight_sends += 1
         self._bump("wire_sends")
-        self.sim.trace(
-            "comm.wire_send",
-            node=self.node.node_id,
-            src=req.src_vrank,
-            dst=req.peer,
-        )
+        spans = self.sim.spans
+        if spans is not None:
+            spans.instant(
+                self.sim.now, "wire_send", "dcgn.wire", self.name,
+                {"src": req.src_vrank, "dst": req.peer},
+            )
 
         def runner():
             try:
@@ -336,12 +337,10 @@ class CommThread:
     # -- request handling --------------------------------------------------
     def _handle_request(self, req: CommRequest) -> Generator[Event, Any, None]:
         self._bump(f"req.{req.op}")
-        req.stamp("picked", self.sim.now)
-        if self.captured is not None:
-            self.captured.append(req)
         spans = self.sim.spans
         sp = None
         if spans is not None:
+            record_stage(spans, self.sim.now, "picked", req)
             sp = spans.begin(
                 self.sim.now, req.op, "dcgn.slot", self.name,
                 attrs={"vrank": req.src_vrank},
@@ -362,7 +361,7 @@ class CommThread:
     def _handle_send(self, req: CommRequest) -> Generator[Event, Any, None]:
         dst = req.peer
         dst_node = self.rankmap.node_of(dst)
-        local = dst_node == self.node.node_id
+        local = dst_node == self.mpi.rank
         if local and self.params.dcgn.local_via_memcpy:
             entry = _Unexpected(
                 req.src_vrank, dst, req.nbytes, req.data, local_send=req
@@ -440,7 +439,7 @@ class CommThread:
         win.check_range(target, offset, count)
         tnode, base = win.locate(target)
         woff = base + offset
-        me = self.node.node_id
+        me = self.mpi.rank
         if req.op == "rma_put":
             if req.data is None:
                 raise DcgnError(f"{req!r} has no payload snapshot")
@@ -499,7 +498,7 @@ class CommThread:
     # -- collectives -------------------------------------------------------
     def _local_quorum(self, gid: int) -> int:
         """How many of the group's members live on this node."""
-        return self.groups.local_count(gid, self.node.node_id)
+        return self.groups.local_count(gid, self.mpi.rank)
 
     def _stage_collective(self, req: CommRequest) -> None:
         seq = req.extra.get("coll_seq")
@@ -575,7 +574,7 @@ class CommThread:
             if (
                  0 <= v < self.rankmap.size
                 and self.rankmap.is_cpu(v)
-                and self.rankmap.node_of(v) == self.node.node_id
+                and self.rankmap.node_of(v) == self.mpi.rank
             ):
                 self.kick.fire()
                 return
@@ -599,7 +598,7 @@ class CommThread:
         """
         self._bump(f"coll.{state.kind}")
         info = self.groups.info(state.gid)
-        mpi = info.ctx_for(self.node.node_id)
+        mpi = info.ctx_for(self.mpi.rank)
         if state.kind == "barrier":
             self._spawn_completer(state, mpi.ibarrier(), None)
         elif state.kind == "bcast":
@@ -746,7 +745,7 @@ class CommThread:
             self._spawn_completer(state, mreq, finish_allreduce)
         else:
             root_node = self.rankmap.node_of(root_vrank)
-            recvbuf = result if self.node.node_id == root_node else None
+            recvbuf = result if self.mpi.rank == root_node else None
             mreq = mpi.ireduce(
                 acc, recvbuf, op=op, root=info.mpi_rank_of_node(root_node)
             )
@@ -800,7 +799,7 @@ class CommThread:
         for _ in range((len(local) + cores - 1) // cores):
             yield from self.node.memcpy.copy(None, None, nbytes=chunk)
         sub_root = info.mpi_rank_of_node(root_node)
-        if self.node.node_id == root_node:
+        if self.mpi.rank == root_node:
             recvbufs = [
                 np.zeros(
                     chunk * len(info.local_vranks(n)), dtype=np.uint8
@@ -851,7 +850,7 @@ class CommThread:
         chunk = int(state.entries[0].extra["chunk"])
         recvbuf = np.zeros(chunk * len(local), dtype=np.uint8)
         sub_root = info.mpi_rank_of_node(root_node)
-        if self.node.node_id == root_node:
+        if self.mpi.rank == root_node:
             root_entry = next(
                 e for e in state.entries if e.src_vrank == root_vrank
             )

@@ -27,7 +27,7 @@ from .errors import CommViolation
 from .groups import WORLD_GID, DcgnGroup
 from .queues import sleep_poll_wait
 from .ranks import ANY, RankMap
-from .requests import CommRequest, CommStatus
+from .requests import CommRequest, CommStatus, record_stage
 
 __all__ = ["CpuKernelContext", "CpuGroupComm", "DcgnRequestHandle"]
 
@@ -92,7 +92,9 @@ class DcgnRequestHandle:
             self.req.done,
             self._ctx._params.dcgn.cpu_wait_poll_us,
         )
-        self.req.stamp("returned", self._ctx.sim.now)
+        spans = self._ctx.sim.spans
+        if spans is not None:
+            record_stage(spans, self._ctx.sim.now, "returned", self.req)
         return result
 
 
@@ -352,10 +354,13 @@ class CpuKernelContext(_CpuCollectives):
         """Charge request overhead and enqueue; the handle's ``wait``
         sleep-polls for completion."""
         req.done = self.sim.event(name=f"req{req.req_id}.done")
-        req.stamp("issued", self.sim.now)
+        spans = self.sim.spans
+        if spans is not None:
+            record_stage(spans, self.sim.now, "issued", req)
         yield self.sim.timeout(us(self._params.cpu.request_overhead_us))
         yield from self._comm.enqueue_from_cpu(req)
-        req.stamp("enqueued", self.sim.now)
+        if spans is not None:
+            record_stage(spans, self.sim.now, "enqueued", req)
         return DcgnRequestHandle(self, req)
 
     @staticmethod

@@ -262,7 +262,7 @@ class GpuCommApi(_GpuCollectives):
         block_ctx: BlockContext,
         mailboxes: SlotMailboxes,
         rankmap: RankMap,
-        node_id: int,
+        node: int,
         gpu_index: int,
         coll_counters: Dict[Tuple[int, int], int],
         groups: GroupTable,
@@ -271,7 +271,8 @@ class GpuCommApi(_GpuCollectives):
         self._ctx = block_ctx
         self._mbox = mailboxes
         self._rankmap = rankmap
-        self._node_id = node_id
+        #: Job-local node index (not the cluster node id).
+        self._node = node
         self._gpu_index = gpu_index
         #: Collective counters keyed by (gid, slot), world included;
         #: shared across blocks and launches (owned by the GPU-kernel
@@ -290,7 +291,7 @@ class GpuCommApi(_GpuCollectives):
         return self._mbox.n_slots
 
     def _vrank(self, slot: int) -> int:
-        return self._rankmap.slot_rank(self._node_id, self._gpu_index, slot)
+        return self._rankmap.slot_rank(self._node, self._gpu_index, slot)
 
     # -- helpers ------------------------------------------------------------
     def _check_buf(self, buf: DeviceBuffer, what: str) -> np.ndarray:

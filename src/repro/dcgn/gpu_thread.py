@@ -40,7 +40,7 @@ from .errors import DcgnError
 from .gpu_api import GpuCommApi
 from .polling import PollPolicy, make_policy
 from .ranks import ANY, RankMap
-from .requests import CommRequest, CommStatus
+from .requests import CommRequest, CommStatus, record_stage
 
 __all__ = ["GpuKernelThread"]
 
@@ -139,7 +139,7 @@ class GpuKernelThread:
                 block_ctx,
                 mbox,
                 self.rankmap,
-                node_id=self.device.node_id,
+                node=self.comm.mpi.rank,
                 gpu_index=self.gpu_index,
                 coll_counters=self._coll_counters,
                 groups=self.comm.groups,
@@ -270,13 +270,11 @@ class GpuKernelThread:
         found = False
         # 1. Probe the mailbox status region.
         yield from self.device.pcie.probe()
-        self.sim.trace("gpu_thread.poll", thread=self.name)
         pending = any(m.has_pending() for m in self._mailboxes)
         if pending:
             # 2. Read all descriptor regions in one transaction.
             region = sum(m.region_bytes() for m in self._mailboxes)
             yield from self.device.pcie.read(region)
-            self.sim.trace("gpu_thread.harvest", thread=self.name)
             for mbox in list(self._mailboxes):
                 for mreq in mbox.harvest():
                     yield from self._ingest(mbox, mreq)
@@ -289,9 +287,7 @@ class GpuKernelThread:
         return found
 
     def _vrank(self, slot: int) -> int:
-        return self.rankmap.slot_rank(
-            self.device.node_id, self.gpu_index, slot
-        )
+        return self.rankmap.slot_rank(self.comm.mpi.rank, self.gpu_index, slot)
 
     def _check_window_dtype(self, args: dict, dbuf) -> None:
         """Device-buffer dtype must match the window's — a mismatch
@@ -482,15 +478,15 @@ class GpuKernelThread:
             writeback = None
         else:
             raise DcgnError(f"unknown GPU mailbox op {op!r}")
-        creq.stamp("posted", mreq.posted_at)
-        creq.stamp("harvested", self.sim.now)
+        spans = self.sim.spans
+        if spans is not None:
+            record_stage(spans, mreq.posted_at, "posted", creq)
+            record_stage(spans, self.sim.now, "harvested", creq)
         self._inflight.append(_Inflight(mbox, mreq, creq, writeback))
         done.add_callback(lambda _e: self._completion_sig.fire())
         yield from self.comm.enqueue_from_gpu_thread(creq)
-        creq.stamp("enqueued", self.sim.now)
-        self.sim.trace(
-            "gpu_thread.relay", thread=self.name, op=op, vrank=vrank
-        )
+        if spans is not None:
+            record_stage(spans, self.sim.now, "enqueued", creq)
 
     def _complete(self, entry: _Inflight) -> Generator[Event, Any, None]:
         """Write results back to the device and release the kernel."""
@@ -514,10 +510,9 @@ class GpuKernelThread:
             dview[:m] = sview[:m]
         # Completion flag write.
         yield from self.device.pcie.write(_FLAG_BYTES)
-        creq.stamp("written_back", self.sim.now)
-        self.sim.trace(
-            "gpu_thread.writeback", thread=self.name, op=creq.op
-        )
+        spans = self.sim.spans
+        if spans is not None:
+            record_stage(spans, self.sim.now, "written_back", creq)
         # Splits resolve to the group descriptor (None = opted out)
         # rather than a wire status.
         result = (

@@ -82,10 +82,18 @@ class DcgnGroup:
 
 
 class _GroupInfo:
-    """Runtime view of one group: node footprint + MPI sub-communicator."""
+    """Runtime view of one group: node footprint + MPI sub-communicator.
+
+    Nodes are job-local indices (node-communicator ranks) throughout,
+    as in :class:`~repro.dcgn.ranks.RankMap`.
+    """
 
     def __init__(
-        self, group: DcgnGroup, rankmap: RankMap, subcomm: Communicator
+        self,
+        group: DcgnGroup,
+        rankmap: RankMap,
+        subcomm: Communicator,
+        node_comm: Communicator,
     ) -> None:
         self.group = group
         self.subcomm = subcomm
@@ -93,17 +101,20 @@ class _GroupInfo:
         for v in group.vranks:
             self._local.setdefault(rankmap.node_of(v), []).append(v)
         #: Nodes hosting members, in sub-communicator rank order.
-        self.nodes: List[int] = list(subcomm.placement)
+        self.nodes: List[int] = [
+            node_comm.rank_of_world(w) for w in subcomm.world_ranks
+        ]
+        self._sub_rank = {n: r for r, n in enumerate(self.nodes)}
 
     def local_vranks(self, node: int) -> List[int]:
         """Members on ``node``, ordered by group rank."""
         return self._local.get(node, [])
 
     def mpi_rank_of_node(self, node: int) -> int:
-        return self.subcomm.rank_of_world(node)
+        return self._sub_rank[node]
 
     def ctx_for(self, node: int) -> MpiContext:
-        return self.subcomm.ctx(self.subcomm.rank_of_world(node))
+        return self.subcomm.ctx(self._sub_rank[node])
 
 
 class GroupTable:
@@ -120,7 +131,9 @@ class GroupTable:
         world = DcgnGroup(
             WORLD_GID, "world", tuple(range(rankmap.size))
         )
-        self._infos[WORLD_GID] = _GroupInfo(world, rankmap, node_comm)
+        self._infos[WORLD_GID] = _GroupInfo(
+            world, rankmap, node_comm, node_comm
+        )
         self._by_name["world"] = world
 
     # -- registration ------------------------------------------------------
@@ -143,8 +156,11 @@ class GroupTable:
         self._next_gid += 1
         group = DcgnGroup(gid, name, tuple(int(v) for v in vranks))
         nodes = sorted({self._rankmap.node_of(v) for v in group.vranks})
-        subcomm = self._node_comm.create(MpiGroup(nodes))
-        self._infos[gid] = _GroupInfo(group, self._rankmap, subcomm)
+        world = self._node_comm.world_ranks
+        subcomm = self._node_comm.create(MpiGroup([world[n] for n in nodes]))
+        self._infos[gid] = _GroupInfo(
+            group, self._rankmap, subcomm, self._node_comm
+        )
         return group
 
     def declare(self, name: str, vranks: Sequence[int]) -> DcgnGroup:

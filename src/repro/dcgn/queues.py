@@ -3,7 +3,7 @@
 Paper §3.2.2: "Thread-safe queues are used to control inter-thread and
 inter-node communication."  §5.2 attributes DCGN's small-message overhead
 to this multi-threaded architecture — so queue operations charge real
-time here, and the counters feed the overhead-breakdown report.
+time here.  The ``puts``/``drains`` counters are diagnostics only.
 """
 
 from __future__ import annotations

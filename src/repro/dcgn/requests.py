@@ -1,16 +1,35 @@
-"""Communication-request descriptors flowing through DCGN's queues."""
+"""Communication-request descriptors flowing through DCGN's queues.
+
+With a span recorder attached (``sim.spans``), each request's trip
+through the runtime is recorded as ``dcgn.req`` instants named after
+the stage it reached, on the track of its virtual rank
+(``dcgn.v<vrank>``):
+
+* CPU kernels: ``issued`` → ``enqueued`` → ``picked`` (by the comm
+  thread) → ``completed`` → ``returned`` (the kernel noticed);
+* GPU kernels: ``posted`` (mailbox write) → ``harvested`` (host read it
+  over PCIe) → ``enqueued`` → ``picked`` → ``completed`` →
+  ``written_back`` (completion flag written to the device).
+
+These are the stages of the paper's §5.2 overhead breakdown
+(:mod:`repro.bench.breakdown`) and Figure 2 dataflow;
+:func:`request_stages` reads them back per request.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..sim.core import Event
 
-__all__ = ["CommRequest", "CommStatus", "P2P_OPS", "COLLECTIVE_OPS", "RMA_OPS"]
+__all__ = [
+    "CommRequest", "CommStatus", "P2P_OPS", "COLLECTIVE_OPS", "RMA_OPS",
+    "record_stage", "request_stages",
+]
 
 P2P_OPS = frozenset({"send", "recv"})
 COLLECTIVE_OPS = frozenset(
@@ -39,7 +58,8 @@ class CommRequest:
     ``data`` carries a snapshot of the payload for sends (taken at request
     creation for CPU kernels, at mailbox harvest — after the PCIe read —
     for GPU kernels).  For receives, ``deliver`` is invoked by the
-    machinery that lands the payload in the requester's buffer.
+    machinery that lands the payload in the requester's buffer.  Its
+    lifecycle stages are recorded with :func:`record_stage`.
     """
 
     op: str
@@ -62,22 +82,15 @@ class CommRequest:
     #: Free-form extras (e.g. reduce op name).
     extra: Dict[str, Any] = field(default_factory=dict)
     req_id: int = field(default_factory=lambda: next(_req_ids))
-    #: Simulated time the request entered the work queue.
-    enqueued_at: float = 0.0
-    #: Lifecycle timestamps for the overhead-breakdown report
-    #: (issued / enqueued / picked / completed / returned, plus the
-    #: GPU-side posted / harvested / written stages).
-    marks: Dict[str, float] = field(default_factory=dict)
-
-    def stamp(self, stage: str, t: float) -> None:
-        """Record a lifecycle timestamp (first write wins)."""
-        self.marks.setdefault(stage, t)
 
     def complete(self, status: Optional[CommStatus] = None) -> None:
         """Mark the request done (idempotence is an error by design)."""
         self.status = status
         if self.done is not None:
-            self.stamp("completed", self.done.sim.now)
+            sim = self.done.sim
+            spans = sim.spans
+            if spans is not None:
+                record_stage(spans, sim.now, "completed", self)
             self.done.succeed(status)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -85,3 +98,30 @@ class CommRequest:
             f"<CommRequest #{self.req_id} {self.op} src={self.src_vrank} "
             f"peer={self.peer} n={self.nbytes}>"
         )
+
+
+def record_stage(spans: Any, t: float, stage: str, req: CommRequest) -> None:
+    """Record ``req`` reaching lifecycle ``stage`` at ``t``.
+
+    Callers check ``sim.spans is not None`` first, so an untraced run
+    pays one attribute load per stage.  The instant is recorded with a
+    positional ``complete`` (this runs several times per request).
+    """
+    spans.complete(
+        t, t, stage, "dcgn.req", f"dcgn.v{req.src_vrank}", None, None,
+        {"req": req.req_id, "op": req.op},
+    )
+
+
+def request_stages(recorder: Any) -> Dict[int, Tuple[str, Dict[str, float]]]:
+    """``{req_id: (op, {stage: t})}`` from a run's ``dcgn.req`` instants.
+
+    Instants are in record order, not time order (a GPU request's
+    ``posted`` stage is recorded when the host harvests it); the first
+    instant recorded for a stage wins.
+    """
+    out: Dict[int, Tuple[str, Dict[str, float]]] = {}
+    for s in recorder.select(category="dcgn.req"):
+        _op, stages = out.setdefault(s.attrs["req"], (s.attrs["op"], {}))
+        stages.setdefault(s.name, s.t0)
+    return out

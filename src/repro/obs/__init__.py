@@ -6,10 +6,11 @@ simulated timestamps or payload bytes — the exact backend stays
 byte-stable with tracing on):
 
 * :mod:`~repro.obs.spans` — :class:`SpanRecorder`, the single hook
-  (``sim.spans``, same pattern as ``sim.stats``/``sim.tracer``) that
-  every instrumented layer checks.  Collectives, schedule rounds, p2p
-  matching, RMA epochs, DCGN comm-thread slots, the fast-path pricer
-  and the serving scheduler all emit spans when a recorder is attached.
+  (``sim.spans``) that every instrumented layer checks and the only
+  event recorder.  Collectives, schedule rounds, p2p matching, RMA
+  epochs, DCGN comm-thread slots and request stages, the fast-path
+  pricer and the serving scheduler all emit spans when a recorder is
+  attached.
 * :mod:`~repro.obs.links` — per-channel busy-time/bytes utilization
   report over :meth:`~repro.hw.topology.base.Topology.channels`, fed
   either by simulated transfers (exact backend) or the analytic

@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
 
-from ..sim.tracing import RecordingControl
-
 __all__ = ["Span", "SpanRecorder"]
 
 
@@ -70,11 +68,12 @@ class Span:
         )
 
 
-class SpanRecorder(RecordingControl):
+class SpanRecorder:
     """Collects completed spans into a (optionally bounded) buffer.
 
     ``maxlen`` keeps only the most recent spans — long serving runs can
-    stay traced without unbounded growth.  ``stats`` (set by
+    stay traced without unbounded growth.  :meth:`pause`/:meth:`resume`
+    toggle ``enabled`` (e.g. to skip a warmup phase).  ``stats`` (set by
     ``Simulator.attach_spans``) lets the recorder count its own closed
     spans in ``sim.stats.spans`` so traced benches see what tracing
     recorded.
@@ -88,10 +87,11 @@ class SpanRecorder(RecordingControl):
     simulation time.
     """
 
-    __slots__ = ("_buf", "_dirty", "_next_sid", "stats")
+    __slots__ = ("enabled", "_buf", "_dirty", "_next_sid", "stats")
 
     def __init__(self, maxlen: Optional[int] = None) -> None:
-        super().__init__()
+        #: Recording switch; hot call sites may gate on it directly.
+        self.enabled = True
         self._buf: Deque[Any] = deque(maxlen=maxlen)
         self._dirty = False
         self._next_sid = 1
@@ -120,6 +120,14 @@ class SpanRecorder(RecordingControl):
         self._dirty = False
 
     # -- recording -----------------------------------------------------
+
+    def pause(self) -> None:
+        """Stop recording until :meth:`resume` (spans are kept)."""
+        self.enabled = False
+
+    def resume(self) -> None:
+        """Re-enable recording after :meth:`pause`."""
+        self.enabled = True
 
     def begin(
         self,

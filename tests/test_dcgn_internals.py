@@ -5,7 +5,9 @@ import pytest
 from repro.dcgn import AdaptiveBurstPolicy, FixedIntervalPolicy
 from repro.dcgn.polling import make_policy
 from repro.dcgn.queues import WorkQueue, sleep_poll_wait
-from repro.dcgn.requests import CommRequest, CommStatus
+from repro.dcgn.requests import (
+    CommRequest, CommStatus, record_stage, request_stages,
+)
 from repro.hw.params import DcgnParams
 from repro.sim import Signal, Simulator, us
 
@@ -162,20 +164,24 @@ class TestPollPolicies:
 class TestCommRequest:
     def test_complete_fires_done_and_stamps(self):
         sim = Simulator()
+        rec = sim.attach_spans()
         req = CommRequest(op="send", src_vrank=0, peer=1)
         req.done = sim.event()
         status = CommStatus(source=1, nbytes=8)
         req.complete(status)
         assert req.done.triggered
         assert req.status == status
-        assert "completed" in req.marks
+        (span,) = rec.select("dcgn.req", "completed")
+        assert span.track == "dcgn.v0"
+        assert span.attrs == {"req": req.req_id, "op": "send"}
 
     def test_stamp_first_write_wins(self):
         sim = Simulator()
+        rec = sim.attach_spans()
         req = CommRequest(op="recv", src_vrank=0)
-        req.stamp("picked", 1.0)
-        req.stamp("picked", 2.0)
-        assert req.marks["picked"] == 1.0
+        record_stage(rec, 1.0, "picked", req)
+        record_stage(rec, 2.0, "picked", req)
+        assert request_stages(rec)[req.req_id] == ("recv", {"picked": 1.0})
 
     def test_request_ids_unique(self):
         a = CommRequest(op="send", src_vrank=0)

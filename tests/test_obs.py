@@ -71,6 +71,36 @@ def _run_stencilish(backend, traced, n_ranks=8, n_nodes=4):
     return record, sim, rec
 
 
+def _run_dcgn_gpu(traced):
+    """GPU send/recv plus a world barrier across 2 nodes (DCGN)."""
+    from repro.dcgn import DcgnConfig, DcgnRuntime
+
+    sim = Simulator()
+    cluster = build_cluster(sim, paper_cluster(nodes=2))
+    rec = sim.attach_spans() if traced else None
+    rt = DcgnRuntime(
+        cluster, DcgnConfig.homogeneous(2, gpus=1, slots_per_gpu=1)
+    )
+    record = {}
+
+    def kernel(kctx):
+        comm = kctx.comm
+        me = comm.rank(0)
+        buf = kctx.device.alloc(256, dtype=np.uint8)
+        if me == 0:
+            buf.data[:] = np.arange(256) % 251
+            yield from comm.send(0, 1, buf)
+        else:
+            yield from comm.recv(0, 0, buf)
+        t_p2p = kctx.sim.now
+        yield from comm.barrier(0)
+        record[me] = (t_p2p, kctx.sim.now, buf.data.tobytes())
+
+    rt.launch_gpu(kernel)
+    rt.run()
+    return record, sim, rec
+
+
 class TestByteStability:
     def test_exact_backend_identical_traced(self):
         """Tracing changes no timestamp and no payload byte (exact)."""
@@ -84,6 +114,17 @@ class TestByteStability:
         assert sim1.stats.heap_pushes == sim0.stats.heap_pushes
         assert len(rec.spans) > 0
         assert sim1.stats.spans == len(rec.spans)
+
+    def test_dcgn_identical_traced(self):
+        """DCGN comm and GPU threads record request stages passively."""
+        base, sim0, _ = _run_dcgn_gpu(traced=False)
+        traced, sim1, rec = _run_dcgn_gpu(traced=True)
+        assert traced == base
+        assert base[1][2] == (np.arange(256) % 251).astype(np.uint8).tobytes()
+        assert sim1.stats.events_popped == sim0.stats.events_popped
+        assert sim1.stats.heap_pushes == sim0.stats.heap_pushes
+        stages = {s.name for s in rec.select("dcgn.req")}
+        assert {"posted", "harvested", "picked", "written_back"} <= stages
 
     def test_analytic_backend_identical_traced(self):
         """The fast path commits the same priced times when recording

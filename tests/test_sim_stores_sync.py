@@ -10,7 +10,6 @@ from repro.sim import (
     Signal,
     Simulator,
     Store,
-    Tracer,
 )
 
 
@@ -361,58 +360,3 @@ class TestCyclicBarrier:
         p = sim.process(proc())
         sim.run()
         assert p.value == 0.0
-
-
-class TestTracer:
-    def test_records_and_filters(self):
-        sim = Simulator()
-        sim.tracer = Tracer()
-
-        def proc():
-            sim.trace("poll", gpu=0)
-            yield sim.timeout(1.0)
-            sim.trace("send", nbytes=64)
-
-        sim.process(proc())
-        sim.run()
-        assert sim.tracer.count("poll") == 1
-        sends = sim.tracer.select("send")
-        assert len(sends) == 1
-        assert sends[0]["nbytes"] == 64
-        assert sends[0].t == pytest.approx(1.0)
-
-    def test_category_filter(self):
-        sim = Simulator()
-        sim.tracer = Tracer(categories={"keep"})
-        sim.trace("keep", a=1)
-        sim.trace("drop", b=2)
-        assert sim.tracer.count("keep") == 1
-        assert sim.tracer.count("drop") == 0
-
-    def test_no_tracer_is_noop(self):
-        sim = Simulator()
-        sim.trace("anything", x=1)  # must not raise
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.record(0.0, "a")
-        tr.clear()
-        assert len(tr.records) == 0
-
-    def test_maxlen_ring_buffer(self):
-        tr = Tracer(maxlen=3)
-        for i in range(10):
-            tr.record(float(i), "tick", i=i)
-        assert tr.maxlen == 3
-        assert len(tr.records) == 3
-        assert [r["i"] for r in tr.records] == [7, 8, 9]
-
-    def test_pause_resume(self):
-        tr = Tracer()
-        tr.record(0.0, "kept")
-        tr.pause()
-        tr.record(1.0, "dropped")
-        tr.resume()
-        tr.record(2.0, "kept")
-        assert tr.count("kept") == 2
-        assert tr.count("dropped") == 0

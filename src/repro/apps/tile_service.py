@@ -193,11 +193,11 @@ class TileService:
         lo = ctx.rank * share
         chunk = flat[lo : lo + share]
         send[: len(chunk)] = chunk
-        recv = [np.zeros(share, dtype=np.int32) for _ in range(P)]
+        recv = np.zeros((P, share), dtype=np.int32)
         yield from ctx.allgather(send, recv)
         if ctx.rank != 0:
             return None
-        return np.concatenate(recv)[:words].reshape(
+        return recv.reshape(-1)[:words].reshape(
             tile.strip_height, tile.width
         )
 

@@ -15,14 +15,25 @@
   index remap (no wire traffic).  Equal block sizes only.
 
 Each algorithm is a ``build_*`` function compiling to a round-based
-:class:`~repro.mpi.algorithms.schedule.Schedule`; packing and the Bruck
-rotation use lazy buffers because a round's payload only exists once the
-previous round delivered.
+:class:`~repro.mpi.algorithms.schedule.Schedule`.  ``recvbufs`` comes in
+two layouts (see ``collectives.allgather``):
+
+* one C-contiguous ``(P, ...)`` array — every rank's block sits in
+  place, so recursive doubling and Bruck send assembled runs as views
+  and receive straight into their final rows: O(1) set-up per rank, no
+  per-buffer scan, no pack/unpack;
+* a sequence of P buffers (the only layout that may mix block sizes,
+  which the ring handles) — recursive doubling then packs each
+  outgoing run and unpacks each incoming one through staging buffers,
+  and Bruck de-rotates into the buffers one block at a time.
+
+Both layouts put the same messages on the wire, so they price and
+simulate identically.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +42,12 @@ from ..errors import MpiError
 from .base import is_pof2, next_tag
 from .schedule import Schedule
 
+#: Receive layout: one C-contiguous ``(P, ...)`` array, or P buffers.
+AllgatherRecv = Union[np.ndarray, Sequence[Payload]]
+
 __all__ = [
+    "AllgatherRecv",
+    "contiguous_rows",
     "build_allgather_ring",
     "build_allgather_recursive_doubling",
     "build_allgather_bruck",
@@ -41,7 +57,7 @@ __all__ = [
 def build_allgather_ring(
     ctx,
     sendbuf: Payload,
-    recvbufs: Sequence[Payload],
+    recvbufs: AllgatherRecv,
 ) -> Schedule:
     """Ring allgather: P−1 steps, each forwarding one block.
 
@@ -75,16 +91,15 @@ def build_allgather_ring(
     return sched
 
 
-def _contiguous_span(
+def contiguous_rows(
     arrays: Sequence[Optional[np.ndarray]], block: int
 ) -> Optional[np.ndarray]:
-    """One uint8 view covering ``arrays`` back-to-back, or ``None``.
+    """``arrays`` as one ``(P, ...)`` row array, or ``None``.
 
-    When the recv blocks are adjacent equal-size slices of a single
-    buffer (the common flat-recvbuf layout), recursive doubling can
-    receive each round's packed run straight into its final location
-    and send fully-assembled runs as zero-copy views — no staging
-    buffers, no pack/unpack memcpy at all.
+    A list of adjacent same-shape slices of one C-contiguous buffer
+    (the flat-recvbuf idiom) is the ``(P, ...)`` layout in disguise:
+    the dispatch layer hands the builders this view of the same memory
+    instead, so they take the O(1) row path.
     """
     if block == 0 or any(a is None for a in arrays):
         return None
@@ -93,8 +108,10 @@ def _contiguous_span(
         return None
     if not base.flags.c_contiguous:
         return None
+    a0 = arrays[0]
     if any(
-        a.base is not base or not a.flags.c_contiguous or a.nbytes != block
+        a.base is not base or not a.flags.c_contiguous
+        or a.dtype != a0.dtype or a.shape != a0.shape
         for a in arrays
     ):
         return None
@@ -105,36 +122,35 @@ def _contiguous_span(
         return None
     if any(offs[i + 1] - offs[i] != block for i in range(len(arrays) - 1)):
         return None
-    return flat[offs[0] : offs[0] + len(arrays) * block]
+    span = flat[offs[0] : offs[0] + len(arrays) * block]
+    return span.view(a0.dtype).reshape((len(arrays),) + a0.shape)
 
 
 def build_allgather_recursive_doubling(
     ctx,
     sendbuf: Payload,
-    recvbufs: Sequence[Payload],
+    recvbufs: AllgatherRecv,
 ) -> Schedule:
     """Recursive-doubling allgather (power-of-two P, equal blocks).
 
     After round ``i`` every rank holds the contiguous run of ``2^(i+1)``
     blocks it shares with its partner's half, so both sides always know
-    exactly which blocks travel: the packed exchange needs no index
-    metadata on the wire.
-
-    When the recv blocks are adjacent slices of one flat buffer the
-    packed runs already exist contiguously in place, so the exchange
-    sends zero-copy views of the assembled run and receives directly
-    into the destination run (see :func:`_contiguous_span`).  Wire
-    traffic — message sizes, tags, rounds, dependencies — is identical
-    to the staging variant, so timing is unchanged.
+    exactly which blocks travel: the exchange needs no index metadata
+    on the wire.  The runs already sit contiguously in a ``(P, ...)``
+    recv array, so each round sends a zero-copy view of the assembled
+    run and receives straight into the destination run.  A list of
+    separate buffers packs each outgoing run and unpacks each incoming
+    one instead; the wire traffic is identical.
     """
     size, rank = ctx.size, ctx.rank
     if not is_pof2(size):
         raise MpiError("recursive-doubling allgather needs power-of-two P")
     sched = Schedule()
     tag = next_tag(ctx)
-    arrays: List[Optional[np.ndarray]] = [payload_array(b) for b in recvbufs]
     mine = payload_array(sendbuf)
-    own = arrays[rank]
+    rows = isinstance(recvbufs, np.ndarray)
+    arrays = None if rows else [payload_array(b) for b in recvbufs]
+    own = recvbufs[rank] if rows else arrays[rank]
 
     def local_copy():
         if own is not None and mine is not None:
@@ -145,9 +161,9 @@ def build_allgather_recursive_doubling(
         sched.overhead(after=deps)
         return sched
 
-    block = arrays[0].nbytes if arrays[0] is not None else 0
-    span = _contiguous_span(arrays, block)
-    if span is not None:
+    if rows:
+        span = recvbufs.view(np.uint8).reshape(-1)
+        block = span.size // size
         mask = 1
         rnd = 0
         while mask < size:
@@ -220,67 +236,65 @@ def build_allgather_recursive_doubling(
 def build_allgather_bruck(
     ctx,
     sendbuf: Payload,
-    recvbufs: Sequence[Payload],
+    recvbufs: AllgatherRecv,
 ) -> Schedule:
     """Bruck allgather (any P, equal blocks): ⌈log2 P⌉ rounds.
 
-    The working vector is kept in rank-rotated order — slot ``i`` holds
+    The working rows are kept in rank-rotated order — slot ``i`` holds
     block ``(rank + i) mod P`` — so every round forwards a contiguous
-    run of slots with no index metadata on the wire, exactly like the
-    recursive-doubling pack.  The de-rotation at the end is a local
-    remap into ``recvbufs``.
+    run of leading slots (a zero-copy view) and receives into the next
+    free ones, with no index metadata on the wire, exactly like
+    recursive doubling.  The de-rotation at the end is a local remap
+    into ``recvbufs``: two row-range copies for a ``(P, ...)`` array,
+    one copy per block for a list.
     """
     size, rank = ctx.size, ctx.rank
-    arrays: List[Optional[np.ndarray]] = [payload_array(b) for b in recvbufs]
     mine = payload_array(sendbuf)
     if mine is None:
         raise MpiError("bruck allgather requires an array payload")
     block = mine.nbytes
-    if any(a is None or a.nbytes != block for a in arrays):
+    if isinstance(recvbufs, np.ndarray):
+        ok = recvbufs.nbytes == size * block
+        targets = None
+    else:
+        targets = [payload_array(b) for b in recvbufs]
+        ok = all(a is not None and a.nbytes == block for a in targets)
+    if not ok:
         raise MpiError("bruck allgather needs equal-size recv blocks")
     sched = Schedule()
     tag = next_tag(ctx)
-    if size == 1:
-        own = arrays[rank]
-        sched.compute(lambda: own.__setitem__(..., mine.reshape(own.shape)))
-        sched.overhead(after=(sched.last,))
-        return sched
-    work: List[np.ndarray] = [mine.view(np.uint8).reshape(-1).copy()]
+    slots = np.empty((size, block), dtype=np.uint8)
+    slots[0] = mine.view(np.uint8).reshape(-1)
     deps: List[int] = []
     step = 1
     rnd = 0
+    if size == 1:
+        deps = [sched.overhead()]
     while step < size:
         count = min(step, size - step)
-        dst = (rank - step) % size
-        src = (rank + step) % size
-        recvpack = AdoptBuf(count * block)
-        # donate: the payload is a fresh concatenation (np.concatenate
-        # copies even for a single input), or work[0] — this rank's
-        # private copy of its own block, which nobody ever writes (so
-        # donating it to several receivers across rounds stays safe).
-        s = sched.send(
-            lambda c=count: np.concatenate(work[:c]) if c > 1 else work[0],
-            dst, tag + rnd % 2, after=deps, round=rnd, donate=True,
-        )
-        r = sched.recv(recvpack, src, tag + rnd % 2, after=deps, round=rnd)
-
-        def absorb(buf=recvpack, c=count):
-            # Received slots step..step+count−1: blocks (rank+step+j) mod P.
-            arr = buf.arr
-            for j in range(c):
-                work.append(arr[j * block : (j + 1) * block])
-
-        deps = [s, sched.compute(absorb, after=(r,), round=rnd)]
+        # alias_ok: rows [0, count) arrived in earlier rounds (which are
+        # dependencies) and are never written again; this round's
+        # receive fills the disjoint rows [step, step + count).
+        s = sched.send(slots[:count], (rank - step) % size, tag + rnd % 2,
+                       after=deps, round=rnd, alias_ok=True)
+        r = sched.recv(slots[step : step + count], (rank + step) % size,
+                       tag + rnd % 2, after=deps, round=rnd)
+        deps = [s, r]
         step <<= 1
         rnd += 1
 
-    def derotate():
-        # De-rotate: slot i is block (rank + i) mod P.
-        for i, blk in enumerate(work):
-            dest = arrays[(rank + i) % size]
-            view = dest.view(np.uint8).reshape(-1)
-            view[...] = blk
+    # De-rotate: slot i is block (rank + i) mod P.
+    if targets is None:
+        out = recvbufs.view(np.uint8).reshape(size, block)
+
+        def derotate():
+            out[rank:] = slots[: size - rank]
+            out[:rank] = slots[size - rank :]
+    else:
+        def derotate():
+            for i in range(size):
+                dest = targets[(rank + i) % size]
+                dest.view(np.uint8).reshape(-1)[...] = slots[i]
 
     sched.compute(derotate, after=deps)
     return sched
-

@@ -18,28 +18,64 @@ schedules (same builders, same selector decisions, same tag claims, same
    receive buffers (rank-0-first round-robin, one step per rank per
    cycle; per-key FIFO message queues mirror the matcher's
    non-overtaking order).  Data results are therefore *bit-identical* to
-   the exact simulator.
+   the exact simulator.  Data-free schedules (the barrier) skip this.
 3. **Price** — completion times come from a per-step critical-path
-   resolution over the very same DAGs: the k-th send on a
+   model over the very same DAGs: the k-th send on a
    ``(comm, src, dst, tag)`` key pairs with the k-th receive (the
    matcher is non-overtaking per key), and each paired wire step is
    priced with the protocol shape of ``_send_impl``/``_recv_impl`` —
    eager (``sw`` + one wire trip, receive finishing at
    ``max(recv_ready + sw, send_finish)``) or rendezvous (RTS → CTS →
    payload, both sides finishing together).  Per-message wire times are
-   interned in a ``(src_node, dst_node, nbytes)`` cache (hits/misses
-   surface as ``sim.stats.wire_cost_hits``/``wire_cost_misses``).
-   Because the resolution follows dependencies, not round labels,
-   transfers in different rounds overlap exactly as the spawned wire
-   processes of the exact engine do — non-power-of-two binomial trees,
-   whose straggler subtrees fire early, price tight instead of paying a
-   per-round barrier.  What the model still ignores is channel
-   *contention* (concurrent transfers sharing a NIC or spine link
-   serialize in the exact engine, never here) — enforced within
-   tolerance at P ≤ 16 by ``tests/test_fastpath.py``.
+   interned in a ``(src_node, dst_node, nbytes)`` cache.  Because the
+   model follows dependencies, not round labels, transfers in different
+   rounds overlap exactly as the spawned wire processes of the exact
+   engine do — non-power-of-two binomial trees, whose straggler
+   subtrees fire early, price tight instead of paying a per-round
+   barrier.  What the model still ignores is channel *contention*
+   (concurrent transfers sharing a NIC or spine link serialize in the
+   exact engine, never here) — enforced within tolerance at P ≤ 16 by
+   ``tests/test_fastpath.py``.
 4. **Commit** — all per-rank completions go through one
    :class:`~repro.sim.batch.EventBatch`, so 1024 rank completions cost
    a handful of heap operations instead of thousands.
+
+**Compile once, evaluate per instance.**  The first instance of a
+collective *shape* on a communicator compiles the per-rank DAGs into a
+:class:`_Plan`: the step order of a dependency walk, the send/receive
+pairing, the eager/rendezvous choice of every pair, the interned wire
+time of every leg (and the routed legs booked into
+:meth:`~repro.hw.topology.base.Topology.account` when accounting is on),
+the per-step round labels and ``n_rounds``.  Every instance — the
+compiling one included — is then priced by :meth:`_Plan.evaluate`, one
+straight-line pass over the plan that does the same float operations,
+in the same order, as the walk it was compiled from.  Times are
+therefore bit-identical whether a plan is fresh or reused, at any
+arrival skew, traced or not.  A data-free shape whose plan exists is
+never even built (``execute_deferred``); a data-carrying one is still
+built and interpreted, since its payloads must move, but the
+pairing, sizing and wire-cost work is gone.
+
+The key is the ``shape`` tuple the dispatch layer stamps on each
+schedule (``collectives._with_meta``): op, algorithm, root, and the
+signature of every buffer that sizes a wire step — dtype and array
+shape, or per-block byte counts for the vector variants.  It must
+determine every rank's DAG and message sizes, and it must be equal on
+every rank: an instance whose ranks deposit different shapes (a
+ragged alltoall) is compiled and priced but not kept, as is one whose
+schedules carry no shape (a builder called directly).  A hit whose
+per-rank step counts disagree with the plan raises
+:class:`~repro.mpi.errors.MpiError`, so a key that misses a structural
+input fails loudly instead of pricing the wrong DAG.
+
+The saving needs repeated shapes.  Measured on one episode of the
+repository benchmark (``perfbench``): ``serve-analytic`` repeats 504 of
+its 520 collectives (every tile request of a service is the same
+allgather), ``rma-analytic`` 6 of 8 (one window-registration allgather
+and one barrier compile; the fences repeat), and the ``coll-exact``
+analytic reference only 3 of 20 — its four barriers share a shape,
+while every other call differs in op, size or root and pays a full
+compile.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...),
 ``gather``/``scatter`` (linear, not schedule-based), and host-memory
@@ -48,10 +84,10 @@ schedule-compiled collectives take *this* one.  Selection thresholds,
 being driven by the same tuning, match the exact backend exactly.
 
 **Pricing-only mode** (``backend="pricing"``): skips the dataflow
-interpretation entirely and resolves times straight off the step lists
+interpretation entirely and sizes messages straight off the step lists
 — same critical-path model, bit-identical simulated times, but receive
 buffers are left untouched (compute steps never run).  This is the
-sweep mode: a 1024-rank collective costs one pass over the steps, which
+sweep mode: a 1024-rank collective costs one pass over its plan, which
 is what makes the ``BENCH_scale.json`` sweeps interactive.  Never use
 it when the program consumes the data it communicates.
 """
@@ -59,7 +95,8 @@ it when the program consumes the data it communicates.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ...hw.memory import nbytes_of
 from ...sim.batch import EventBatch
@@ -75,14 +112,25 @@ _RECV = "recv"
 _COMPUTE = "compute"
 _OVERHEAD = "overhead"
 
+# Plan instruction kinds (see _Plan.evaluate).
+_K_COMPUTE = 0   # fin = ready
+_K_OVERHEAD = 1  # fin = ready + sw
+_K_WAIT = 2      # a wire step is ready; its pair resolves later
+_K_ESEND = 3     # eager send: fin = ready + sw + wire
+_K_ERECV = 4     # eager receive whose send already finished
+_K_LATE = 5      # eager receive that was ready first, finished by its send
+_K_RNDV = 6      # second-ready side of a rendezvous pair: both finish
+
+#: ``_Instance.shape`` before the first deposit.
+_UNSET = object()
+
 
 class _Instance:
     """One collective call site: per-rank schedules awaiting the last
     arrival."""
 
     __slots__ = (
-        "ctxs", "scheds", "dones", "arrivals", "arrived",
-        "lazy_key", "lazy_builder",
+        "ctxs", "scheds", "dones", "arrivals", "arrived", "shape", "build",
     )
 
     def __init__(self, size: int) -> None:
@@ -91,14 +139,15 @@ class _Instance:
         self.dones: List[Optional[Event]] = [None] * size
         self.arrivals: List[float] = [0.0] * size
         self.arrived = 0
-        #: Set when deposits defer their DAG build (``execute_barrier``):
-        #: the intern key stands in for the schedules, and the builder
-        #: materializes them only on a fin-cache miss.
-        self.lazy_key: Optional[Tuple] = None
-        self.lazy_builder: Optional[Any] = None
+        #: The plan key every rank deposited, or ``None`` when they
+        #: disagree (or carry none): such an instance is never interned.
+        self.shape: Any = _UNSET
+        #: Set by ``execute_deferred``: the per-rank DAG builder, run
+        #: only when the shape has no plan yet (or its plan moves data).
+        self.build: Optional[Callable] = None
 
     def deposit(self, rank: int, ctx, sched: Optional[Schedule],
-                done: Event) -> None:
+                done: Event, shape: Optional[Tuple] = None) -> None:
         if self.dones[rank] is not None or self.scheds[rank] is not None:
             raise MpiError(
                 f"rank {rank} deposited twice into one collective "
@@ -109,6 +158,10 @@ class _Instance:
         self.dones[rank] = done
         if ctx is not None:
             self.arrivals[rank] = ctx.sim.now
+        if self.arrived == 0:
+            self.shape = shape
+        elif shape != self.shape:
+            self.shape = None
         self.arrived += 1
 
 
@@ -154,6 +207,114 @@ class _RankState:
                 self._push(j)
 
 
+@dataclass(eq=False)
+class _Plan:
+    """One collective shape, compiled (see module doc).
+
+    Steps are numbered rank-major: rank ``r``'s step ``i`` is slot
+    ``offsets[r] + i``.  A plan lives as long as its communicator, so
+    it shares what repeats: slot numbers, dependency tuples, legs and
+    interned wire times are stored once (about 200 B per step).
+    """
+
+    #: One instruction per resolution event of the compiling walk, in
+    #: walk order: ``(kind, slot, rank, dep slots, arg)``.
+    code: List[Tuple]
+    #: Every priced wire leg ``(src_node, dst_node, nbytes)``, in the
+    #: order the walk priced them (for ``Topology.account``).
+    legs: List[Tuple[int, int, int]]
+    offsets: List[int]
+    n_steps: List[int]
+    n_rounds: int
+    #: Per rank, its schedule's ``n_rounds``; per slot, its step's
+    #: round label — what the traced span tree is drawn from.
+    rank_rounds: List[int]
+    rounds: List[int]
+    #: No payloads and no compute steps: nothing to interpret.
+    data_free: bool
+    #: Span label and ``nbytes`` attribute (from the schedule meta).
+    name: str
+    nbytes: int
+
+    def check(self, inst: _Instance) -> None:
+        """A hit must bring the DAGs the plan was compiled from."""
+        for r, sched in enumerate(inst.scheds):
+            if len(sched.steps) != self.n_steps[r]:
+                raise MpiError(
+                    f"fast-path plan for {self.name!r} has "
+                    f"{self.n_steps[r]} steps on rank {r}, the schedule "
+                    f"{len(sched.steps)}: the shape key misses an input "
+                    "that changes the DAG"
+                )
+
+    def evaluate(
+        self, arrivals: List[float], sw: float, acct: Optional[Callable]
+    ) -> Tuple[List[float], List[float], List[float]]:
+        """Price one instance: per-rank completion times, plus every
+        step's ready and finish time (by slot).
+
+        * compute — finishes at its ready time (inline, zero cost);
+        * overhead — ready + ``sw``;
+        * eager send — ready + ``sw`` + wire(n + header); the paired
+          receive finishes at ``max(recv_ready + sw, send_finish)``;
+        * rendezvous pair — ``m = max(recv_ready + sw,
+          send_ready + sw + wire(hdr))`` (the RTS meets the posted
+          receive), then both sides finish at
+          ``m + wire(cts) + wire(payload)``.
+
+        ``acct`` (the topology's ``account`` when accounting is on)
+        books every priced leg onto its routed channels.
+        """
+        if acct is not None:
+            for src, dst, n in self.legs:
+                acct(src, dst, n)
+        n_slots = self.offsets[-1]
+        fin = [0.0] * n_slots
+        rdy = [0.0] * n_slots
+        for kind, g, r, deps, arg in self.code:
+            if kind == _K_LATE:
+                t = rdy[g] + sw
+                f = fin[arg]
+                fin[g] = f if f > t else t
+                continue
+            t = arrivals[r]
+            for d in deps:
+                f = fin[d]
+                if f > t:
+                    t = f
+            rdy[g] = t
+            if kind == _K_WAIT:
+                continue
+            if kind == _K_COMPUTE:
+                fin[g] = t
+            elif kind == _K_ESEND:
+                fin[g] = t + sw + arg
+            elif kind == _K_ERECV:
+                t = t + sw
+                f = fin[arg]
+                fin[g] = f if f > t else t
+            elif kind == _K_OVERHEAD:
+                fin[g] = t + sw
+            else:  # _K_RNDV
+                other, is_send, hdr, cts, payload = arg
+                if is_send:
+                    a = rdy[other] + sw
+                    b = t + sw + hdr
+                else:
+                    a = t + sw
+                    b = rdy[other] + sw + hdr
+                f = (b if b > a else a) + cts + payload
+                fin[g] = f
+                fin[other] = f
+        offs = self.offsets
+        fins = [
+            max(fin[offs[r] : offs[r + 1]]) if offs[r + 1] > offs[r]
+            else arrivals[r]
+            for r in range(len(arrivals))
+        ]
+        return fins, rdy, fin
+
+
 class FastPathEngine(ScheduleEngine):
     """Prices whole collective schedules analytically (see module doc).
 
@@ -172,14 +333,8 @@ class FastPathEngine(ScheduleEngine):
         self._instances: Dict[int, _Instance] = {}
         #: Interned wire times: (src_node, dst_node, nbytes) → seconds.
         self._wire_cache: Dict[Tuple[int, int, int], float] = {}
-        #: Interned completion offsets for data-free schedules
-        #: (``Schedule.intern_key``): (key, relative arrivals) →
-        #: (per-rank ``fin - base``, n_rounds, span skeleton or None).
-        #: Critical-path resolution is time-translation-invariant, so
-        #: a repeat instance with the same arrival skew prices
-        #: identically; the skeleton (built on the first traced
-        #: resolve) lets traced cache hits replay the span tree too.
-        self._fin_cache: Dict[Tuple, Tuple] = {}
+        #: Compiled plans by shape (see module doc).
+        self._plans: Dict[Tuple, _Plan] = {}
         #: Skip the dataflow interpreter: price timings only, leave
         #: receive buffers untouched (see module doc).
         self.price_only = price_only
@@ -191,29 +346,23 @@ class FastPathEngine(ScheduleEngine):
         self.comm._ensure_alive()
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
-        return self._run(ctx, sched, seq)
+        return self._run(ctx, sched, seq, sched.shape)
 
-    def execute_barrier(
-        self, ctx
+    def execute_deferred(
+        self, ctx, shape: Tuple, build: Callable
     ) -> Generator[Event, Any, None]:
-        """Barrier with a deferred DAG build: the dissemination
-        schedule is a pure function of size and moves no data, so when
-        this instance's arrival skew is already interned nobody ever
-        builds it (a Jacobi run fences every iteration)."""
-        from .barrier import build_barrier_dissemination
-
+        """Run ``build(ctx)``'s schedule, building it only if ``shape``
+        has no plan yet: a data-free collective (the barrier a Jacobi
+        run fences with every iteration) that hits its plan never
+        builds its DAG."""
         self.comm._ensure_alive()
         seq = self._claims[ctx.rank]
         self._claims[ctx.rank] += 1
-        return self._run(
-            ctx, None, seq,
-            lazy_key=("barrier_dissemination", ctx.size),
-            lazy_builder=build_barrier_dissemination,
-        )
+        return self._run(ctx, None, seq, shape, build)
 
     def _run(
         self, ctx, sched: Optional[Schedule], seq: int,
-        lazy_key: Optional[Tuple] = None, lazy_builder=None,
+        shape: Optional[Tuple], build: Optional[Callable] = None,
     ) -> Generator[Event, Any, None]:
         self.active += 1
         try:
@@ -222,10 +371,9 @@ class FastPathEngine(ScheduleEngine):
                 inst = _Instance(self.comm.size)
                 self._instances[seq] = inst
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
-            inst.deposit(ctx.rank, ctx, sched, done)
-            if lazy_key is not None:
-                inst.lazy_key = lazy_key
-                inst.lazy_builder = lazy_builder
+            inst.deposit(ctx.rank, ctx, sched, done, shape)
+            if build is not None:
+                inst.build = build
             if inst.arrived == self.comm.size:
                 del self._instances[seq]
                 self._complete(inst)
@@ -251,101 +399,39 @@ class FastPathEngine(ScheduleEngine):
 
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
-        """Interpret the dataflow (exact data), resolve the per-step
-        critical path (analytic time), and batch-commit the per-rank
-        completions."""
+        """Find or compile the instance's plan, move its data, price it
+        with one plan pass, and batch-commit the per-rank completions."""
         comm = self.comm
         sim = comm.sim
         stats = sim.stats
         size = comm.size
-        # With a recorder enabled, skip the interned-offsets shortcut so
-        # every instance resolves (and emits) its full span tree.  The
-        # resolution is deterministic and translation-invariant, so the
-        # committed completion times are bit-identical either way — only
-        # the cache-hit counters differ under tracing.
-        spans = sim.spans
-        if spans is not None and not spans.enabled:
-            spans = None
-
-        # Data-free schedules (intern_key set by the builder, identical
-        # across ranks, or a deferred-build barrier) skip interpretation
-        # outright — there is no payload to move — and intern their
-        # resolved completion offsets keyed by arrival skew, so the
-        # fence-per-iteration hot path resolves (and, when deferred,
-        # builds) its dissemination DAG once, not once per epoch.
-        ikey = inst.lazy_key
-        if ikey is None and inst.scheds[0] is not None:
-            ikey = inst.scheds[0].intern_key
-            if ikey is not None:
-                for r in range(1, size):
-                    sched_r = inst.scheds[r]
-                    if sched_r is None or sched_r.intern_key != ikey:
-                        ikey = None
-                        break
-        if ikey is not None:
-            base = inst.arrivals[0]
-            ckey = (ikey, tuple(a - base for a in inst.arrivals))
-            cached = self._fin_cache.get(ckey)
-            if cached is not None and spans is not None and cached[2] is None:
-                # First traced pass resolves in full so the span
-                # skeleton gets built and cached for later hits.
-                cached = None
-            if cached is not None:
-                offsets, n_rounds, skel = cached
-                stats.fastpath_sched_cache_hits += 1
-                stats.fastpath_collectives += 1
-                stats.fastpath_rounds += n_rounds
-                if spans is not None:
-                    self._replay_spans(inst, base, offsets, skel, spans)
-                batch = EventBatch(sim, name="fastpath")
-                now = sim.now
-                for r in range(size):
-                    batch.add(max(base + offsets[r], now),
-                              inst.dones[r], None)
-                batch.commit()
-                return
-            if inst.lazy_builder is not None:
-                for r in range(size):
-                    if inst.scheds[r] is None:
-                        inst.scheds[r] = inst.lazy_builder(inst.ctxs[r])
-
-        #: Per-rank map of send-step idx → resolved payload size; the
-        #: paired receive is priced with the *send's* size, exactly as
-        #: the wire message carries it.
-        send_bytes: List[Dict[int, int]] = [dict() for _ in range(size)]
-        recv_bytes: List[Dict[int, int]] = [dict() for _ in range(size)]
-        if self.price_only or ikey is not None:
-            # Computes never run in pricing mode, so a lazy send buffer
-            # built from staged data (e.g. the Bruck working vector) can
-            # under-resolve; the posted receive buffer is statically the
-            # right size, so each pair is priced with the larger of the
-            # two resolved sizes — which equals the interpreted send
-            # size, keeping pricing bit-identical to analytic.
-            for r in range(size):
-                for st in inst.scheds[r].steps:
-                    if st.kind == _SEND or st.kind == _RECV:
-                        buf = st.resolve_buf()
-                        tgt = send_bytes if st.kind == _SEND else recv_bytes
-                        tgt[r][st.idx] = (
-                            nbytes_of(buf) if buf is not None else 0
-                        )
+        shape = inst.shape
+        plan = self._plans.get(shape) if shape is not None else None
+        if plan is not None:
+            stats.fastpath_sched_cache_hits += 1
+            if inst.build is not None and not plan.data_free:
+                self._build_all(inst)
+            if inst.scheds[0] is not None:
+                plan.check(inst)
+            if not (self.price_only or plan.data_free):
+                self._interpret(inst)
         else:
-            self._interpret(inst, send_bytes)
+            if inst.build is not None:
+                self._build_all(inst)
+            plan = self._compile(inst)
+            if shape is not None:
+                self._plans[shape] = plan
 
-        fins, fin_detail = self._resolve_times(inst, send_bytes, recv_bytes)
-
-        n_rounds = max(
-            (inst.scheds[r].n_rounds for r in range(size)), default=0
+        interconnect = comm.cluster.interconnect
+        fins, rdy, fin = plan.evaluate(
+            inst.arrivals, us(comm._ib.sw_overhead_us),
+            interconnect.account if interconnect.accounting else None,
         )
         stats.fastpath_collectives += 1
-        stats.fastpath_rounds += int(n_rounds)
-        skel = None
-        if spans is not None:
-            skel = self._record_spans(inst, fins, fin_detail, ikey, spans)
-        if ikey is not None:
-            self._fin_cache[ckey] = (
-                [f - base for f in fins], int(n_rounds), skel
-            )
+        stats.fastpath_rounds += plan.n_rounds
+        spans = sim.spans
+        if spans is not None and spans.enabled:
+            self._record_spans(inst, plan, fins, rdy, fin, spans)
 
         batch = EventBatch(sim, name="fastpath")
         now = sim.now
@@ -356,344 +442,268 @@ class FastPathEngine(ScheduleEngine):
             batch.add(max(fins[r], now), inst.dones[r], None)
         batch.commit()
 
+    @staticmethod
+    def _build_all(inst: _Instance) -> None:
+        for r, ctx in enumerate(inst.ctxs):
+            inst.scheds[r] = inst.build(ctx)
+
     def _record_spans(
         self,
         inst: _Instance,
+        plan: _Plan,
         fins: List[float],
-        fin: List[List[Optional[float]]],
-        ikey: Optional[Tuple],
+        rdy: List[float],
+        fin: List[float],
         spans,
-    ) -> Optional[Tuple]:
+    ) -> None:
         """Emit the same span skeleton the exact engine records — one
         collective span per rank with per-round children — plus the
-        pricer's own stage markers.  All timestamps come from the
-        resolved critical path, so the tree carries priced durations.
-
-        For internable instances (``ikey`` set) the emitted tree is
-        also returned as a base-relative skeleton, cached next to the
-        fin offsets so later cache hits replay it via
-        :meth:`_replay_spans` instead of re-resolving the DAG — the
-        cache key pins the exact arrival skew, so the resolved times
-        are identical up to the base shift."""
+        pricer's own stage markers.  A round spans from the earliest
+        ready to the latest finish of its steps, as the plan pass
+        priced them."""
         comm = self.comm
-        sim = comm.sim
         size = comm.size
-        meta = None
-        for r in range(size):
-            if inst.scheds[r] is not None and inst.scheds[r].meta:
-                meta = inst.scheds[r].meta
-                break
-        if meta is None and ikey is not None:
-            meta = {"op": "barrier", "algo": "dissemination", "nbytes": 0}
-        meta = meta or {}
-        name = meta.get("op", "collective")
-        if meta.get("algo"):
-            name = f"{name}[{meta['algo']}]"
+        name = plan.name
+        rounds = plan.rounds
         arrivals = inst.arrivals
-        now = sim.now
+        now = comm.sim.now
         ftrack = f"{comm.root_comm.name}.fastpath"
         spans.complete(
             min(arrivals), max(arrivals), name, "fastpath.collect", ftrack,
             attrs={"n_ranks": size},
         )
         spans.instant(now, name, "fastpath.interpret", ftrack,
-                      attrs={"priced": self.price_only or ikey is not None})
+                      attrs={"priced": self.price_only or plan.data_free})
         backend = comm.backend
-        nbytes_meta = meta.get("nbytes", 0)
-        base = arrivals[0]
-        skel_ranks: Optional[List[Tuple]] = [] if ikey is not None else None
         for r in range(size):
-            sched = inst.scheds[r]
-            steps = sched.steps
-            n_rounds = sched.n_rounds  # O(steps) property — hoist
             rtrack = comm.span_track(r)
             psid = spans.complete(
                 arrivals[r], fins[r], name, "collective", rtrack,
                 None, None,
-                {"backend": backend, "nbytes": nbytes_meta,
-                 "n_rounds": n_rounds, "n_steps": len(steps)},
+                {"backend": backend, "nbytes": plan.nbytes,
+                 "n_rounds": plan.rank_rounds[r],
+                 "n_steps": plan.n_steps[r]},
             )
             if psid is None:
-                # Recorder paused mid-collective: the tree is partial,
-                # so don't cache a skeleton of it.
-                skel_ranks = None
-                continue
-            # Round ids live in [0, n_rounds), so flat lists beat
-            # dicts here; None marks rounds this rank never runs.
+                continue  # recorder paused mid-collective
+            # Round ids live in [0, n_rounds); None marks rounds this
+            # rank never runs.
+            n_rounds = plan.rank_rounds[r]
             rstart: List[Optional[float]] = [None] * n_rounds
             rend: List[Optional[float]] = [None] * n_rounds
-            arr = arrivals[r]
-            fin_r = fin[r]
-            for st in steps:
-                t0 = arr
-                for d in st.deps:
-                    fd = fin_r[d]
-                    if fd is not None and fd > t0:
-                        t0 = fd
-                t1 = fin_r[st.idx]
-                if t1 is None:
-                    t1 = t0
-                rd = st.round
-                s = rstart[rd]
-                if s is None or t0 < s:
-                    rstart[rd] = t0
-                e = rend[rd]
-                if e is None or t1 > e:
-                    rend[rd] = t1
-            rounds_off = []
-            for rd in range(n_rounds):
+            for g in range(plan.offsets[r], plan.offsets[r + 1]):
+                rd = rounds[g]
                 t0 = rstart[rd]
-                if t0 is None:
-                    continue
+                if t0 is None or rdy[g] < t0:
+                    rstart[rd] = rdy[g]
                 t1 = rend[rd]
-                spans.complete(t0, t1, _round_name(rd), "round",
-                               rtrack, psid)
-                if skel_ranks is not None:
-                    rounds_off.append((rd, t0 - base, t1 - base))
-            if skel_ranks is not None:
-                skel_ranks.append(
-                    (n_rounds, len(steps), tuple(rounds_off))
-                )
-        spans.instant(now, name, "fastpath.commit", ftrack,
-                      attrs={"n_ranks": size})
-        if skel_ranks is None:
-            return None
-        return (name, nbytes_meta, tuple(skel_ranks))
-
-    def _replay_spans(
-        self,
-        inst: _Instance,
-        base: float,
-        offsets: List[float],
-        skel: Tuple,
-        spans,
-    ) -> None:
-        """Re-emit a cached span skeleton, shifted to this instance's
-        base arrival — the tree :meth:`_record_spans` would have
-        produced had the DAG been re-resolved, up to float rounding of
-        the base shift."""
-        comm = self.comm
-        sim = comm.sim
-        size = comm.size
-        name, nbytes_meta, skel_ranks = skel
-        arrivals = inst.arrivals
-        now = sim.now
-        ftrack = f"{comm.root_comm.name}.fastpath"
-        spans.complete(
-            min(arrivals), max(arrivals), name, "fastpath.collect", ftrack,
-            attrs={"n_ranks": size},
-        )
-        spans.instant(now, name, "fastpath.interpret", ftrack,
-                      attrs={"priced": True})
-        backend = comm.backend
-        for r in range(size):
-            n_rounds, n_steps, rounds_off = skel_ranks[r]
-            rtrack = comm.span_track(r)
-            psid = spans.complete(
-                arrivals[r], base + offsets[r], name, "collective", rtrack,
-                None, None,
-                {"backend": backend, "nbytes": nbytes_meta,
-                 "n_rounds": n_rounds, "n_steps": n_steps},
-            )
-            if psid is None:
-                continue
-            for rd, t0, t1 in rounds_off:
-                spans.complete(base + t0, base + t1, _round_name(rd),
-                               "round", rtrack, psid)
+                if t1 is None or fin[g] > t1:
+                    rend[rd] = fin[g]
+            for rd in range(n_rounds):
+                if rstart[rd] is not None:
+                    spans.complete(rstart[rd], rend[rd], _round_name(rd),
+                                   "round", rtrack, psid)
         spans.instant(now, name, "fastpath.commit", ftrack,
                       attrs={"n_ranks": size})
 
-    def _resolve_times(
-        self,
-        inst: _Instance,
-        send_bytes: List[Dict[int, int]],
-        recv_bytes: List[Dict[int, int]],
-    ) -> Tuple[List[float], List[List[Optional[float]]]]:
-        """Per-step critical-path resolution over all ranks' DAGs.
+    def _compile(self, inst: _Instance) -> _Plan:
+        """Compile the instance's DAGs into a :class:`_Plan`.
 
-        Mirrors the exact engine's concurrency structure: every step
-        starts the moment its dependencies finish (wire steps are
-        spawned processes there, so independent steps overlap freely),
-        and each wire pair is priced with the protocol of
-        ``_send_impl``/``_recv_impl``:
-
-        * compute — finishes at its ready time (inline, zero cost);
-        * overhead — ready + ``sw``;
-        * eager send — ready + ``sw`` + wire(n + header); the paired
-          receive finishes at ``max(recv_ready + sw, send_finish)``;
-        * rendezvous pair — ``m = max(recv_ready + sw,
-          send_ready + sw + wire(hdr))`` (the RTS meets the posted
-          receive), then both sides finish at
-          ``m + wire(cts) + wire(payload)``.
-
-        Returns ``(fins, fin)``: each rank's completion time (max over
-        its steps) and the full per-step finish matrix (observability —
-        the span recorder derives round boundaries from it).
-
-        When the topology's ``accounting`` flag is on, every priced
-        wire leg is additionally booked onto the routed channel path
-        (:meth:`Topology.account`), so the link-utilization report sees
-        analytic traffic the pricer never simulates.
+        Message sizes come from the dataflow interpreter (which also
+        moves this instance's data) or, for pricing-only and data-free
+        schedules, straight off the step buffers.  The walk is a
+        dependency-order resolution over all ranks' DAGs: every step
+        becomes ready the moment its dependencies finish (wire steps
+        are spawned processes in the exact engine, so independent
+        steps overlap freely), and a wire pair resolves when the
+        protocol says both of its times are known.
         """
         from ..communicator import HEADER_BYTES
 
         comm = self.comm
-        ib = comm._ib
-        sw = us(ib.sw_overhead_us)
-        eager_max = ib.eager_threshold
+        eager_max = comm._ib.eager_threshold
         size = comm.size
-        interconnect = comm.cluster.interconnect
-        if interconnect.accounting:
-            acct = interconnect.account
-            _wt = self._wt
-
-            def wt(src: int, dst: int, n: int) -> float:
-                acct(src, dst, n)
-                return _wt(src, dst, n)
-        else:
-            wt = self._wt
-
+        ctxs = inst.ctxs
         steps_of = [inst.scheds[r].steps for r in range(size)]
+        offsets = [0]
+        for steps in steps_of:
+            offsets.append(offsets[-1] + len(steps))
+        flat = [st for steps in steps_of for st in steps]
+        rank_of = [r for r in range(size) for _ in steps_of[r]]
+        #: One int object per slot number, shared by everything the
+        #: plan stores (slot numbers past 256 are not cached by Python).
+        ids = list(range(len(flat)))
+        data_free = all(
+            st.buf is None and st.kind != _COMPUTE for st in flat
+        )
+        # Resolved payload size per wire slot; a pair is priced with
+        # the larger of its two sides.
+        if self.price_only or data_free:
+            # Computes never run in pricing mode, so a lazy send buffer
+            # built from staged data can under-resolve; the posted
+            # receive buffer is statically the right size, so each pair
+            # is priced with the larger of the two resolved sizes —
+            # which equals the interpreted send size, keeping pricing
+            # bit-identical to analytic.
+            nbytes = [0] * len(flat)
+            for g, st in enumerate(flat):
+                if st.kind == _SEND or st.kind == _RECV:
+                    buf = st.resolve_buf()
+                    if buf is not None:
+                        nbytes[g] = nbytes_of(buf)
+        else:
+            # Interpreted sends carry the exact size; receives stay 0.
+            nbytes = self._interpret(inst, offsets)
 
         # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
         # with the k-th receive, both in step-index order — the
         # matcher's per-key FIFO guarantees non-overtaking, and every
         # schedule builder issues same-key wire steps dep-ordered.
-        sends: Dict[Tuple, List[Tuple[int, int]]] = {}
-        recvs: Dict[Tuple, List[Tuple[int, int]]] = {}
-        for r in range(size):
-            ctx_r = inst.ctxs[r]
-            for st in steps_of[r]:
-                if st.kind == _SEND:
-                    tctx = st.via if st.via is not None else ctx_r
-                    sends.setdefault(
-                        (id(tctx.comm), tctx.rank, st.peer, st.tag), []
-                    ).append((r, st.idx))
-                elif st.kind == _RECV:
-                    tctx = st.via if st.via is not None else ctx_r
-                    recvs.setdefault(
-                        (id(tctx.comm), st.peer, tctx.rank, st.tag), []
-                    ).append((r, st.idx))
-        pair: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for key, ss in sends.items():
-            for s_ref, r_ref in zip(ss, recvs.get(key, ())):
-                pair[s_ref] = r_ref
-                pair[r_ref] = s_ref
-
-        arrivals = inst.arrivals
-        fin: List[List[Optional[float]]] = [
-            [None] * len(steps_of[r]) for r in range(size)
-        ]
-        ready_t: List[List[Optional[float]]] = [
-            [None] * len(steps_of[r]) for r in range(size)
-        ]
-        missing = [
-            [len(st.deps) for st in steps_of[r]] for r in range(size)
-        ]
-        dependents: List[List[List[int]]] = [
-            [[] for _ in steps_of[r]] for r in range(size)
-        ]
-        for r in range(size):
-            for st in steps_of[r]:
-                for d in st.deps:
-                    dependents[r][d].append(st.idx)
-
-        work: List[Tuple[int, int]] = []
-        for r in range(size):
-            for i, m in enumerate(missing[r]):
-                if m == 0:
-                    work.append((r, i))
-
-        resolved = 0
-
-        def finish(r: int, idx: int, t: float) -> None:
-            nonlocal resolved
-            fin[r][idx] = t
-            resolved += 1
-            for j in dependents[r][idx]:
-                missing[r][j] -= 1
-                if missing[r][j] == 0:
-                    work.append((r, j))
-
-        def wire_nodes(r: int, st: _Step) -> Tuple[int, int]:
-            tctx = st.via if st.via is not None else inst.ctxs[r]
-            placement = tctx.comm.placement
-            return placement[tctx.rank], placement[st.peer]
-
-        while work:
-            r, idx = work.pop()
-            st = steps_of[r][idx]
-            t = arrivals[r]
-            for d in st.deps:
-                fd = fin[r][d]
-                if fd > t:
-                    t = fd
-            if st.kind == _COMPUTE:
-                finish(r, idx, t)
-                continue
-            if st.kind == _OVERHEAD:
-                finish(r, idx, t + sw)
-                continue
-            ready_t[r][idx] = t
-            other = pair.get((r, idx))
-            if other is None:
-                continue  # unmatched — reported as a stall below
-            ro, oidx = other
+        # Each send slot also gets its (src, dst) nodes.
+        sends: Dict[Tuple, List[int]] = {}
+        recvs: Dict[Tuple, List[int]] = {}
+        nodes: Dict[int, Tuple[int, int]] = {}
+        for g, st in enumerate(flat):
             if st.kind == _SEND:
-                src, dst = wire_nodes(r, st)
-                n = max(send_bytes[r][idx], recv_bytes[ro].get(oidx, 0))
-                if n <= eager_max:
-                    f = t + sw + wt(src, dst, n + HEADER_BYTES)
-                    finish(r, idx, f)
-                    t_recv = ready_t[ro][oidx]
-                    if t_recv is not None:
-                        finish(ro, oidx, max(t_recv + sw, f))
-                else:
-                    t_recv = ready_t[ro][oidx]
-                    if t_recv is not None:
-                        m = max(t_recv + sw, t + sw + wt(src, dst, HEADER_BYTES))
-                        f = m + wt(dst, src, HEADER_BYTES) + wt(src, dst, n)
-                        finish(r, idx, f)
-                        finish(ro, oidx, f)
-                    # else: parked; the receive side resolves the pair.
-            else:  # _RECV
-                t_send = ready_t[ro][oidx]
-                if t_send is None:
-                    continue  # parked; the send side resolves the pair
-                sst = steps_of[ro][oidx]
-                src, dst = wire_nodes(ro, sst)
-                n = max(send_bytes[ro][oidx], recv_bytes[r].get(idx, 0))
-                if n <= eager_max:
-                    finish(r, idx, max(t + sw, fin[ro][oidx]))
-                else:
-                    m = max(t + sw, t_send + sw + wt(src, dst, HEADER_BYTES))
-                    f = m + wt(dst, src, HEADER_BYTES) + wt(src, dst, n)
-                    finish(ro, oidx, f)
-                    finish(r, idx, f)
+                tctx = st.via if st.via is not None else ctxs[rank_of[g]]
+                tcomm = tctx.comm
+                sends.setdefault(
+                    (id(tcomm), tctx.rank, st.peer, st.tag), []
+                ).append(g)
+                nodes[g] = (tcomm.placement[tctx.rank],
+                            tcomm.placement[st.peer])
+            elif st.kind == _RECV:
+                tctx = st.via if st.via is not None else ctxs[rank_of[g]]
+                recvs.setdefault(
+                    (id(tctx.comm), st.peer, tctx.rank, st.tag), []
+                ).append(g)
+        pair = [-1] * len(flat)
+        for key, ss in sends.items():
+            for gs, gr in zip(ss, recvs.get(key, ())):
+                pair[gs] = ids[gr]
+                pair[gr] = ids[gs]
 
-        total = sum(len(s) for s in steps_of)
-        if resolved < total:
-            stuck = {
-                r: sum(1 for f in fin[r] if f is None)
-                for r in range(size)
-                if any(f is None for f in fin[r])
-            }
+        # Dependency tuples and legs repeat across the plan; store each
+        # once.
+        shared: Dict[Tuple, Tuple] = {}
+        deps_of = [
+            shared.setdefault(key, key) for key in (
+                tuple([ids[offsets[r] + d] for d in st.deps])
+                for r, st in zip(rank_of, flat)
+            )
+        ]
+        missing = [len(deps) for deps in deps_of]
+        dependents: List[List[int]] = [[] for _ in flat]
+        for g, deps in enumerate(deps_of):
+            for d in deps:
+                dependents[d].append(ids[g])
+        work = [ids[g] for g, m in enumerate(missing) if m == 0]
+        ready = [False] * len(flat)
+        resolved = [False] * len(flat)
+        legs: List[Tuple[int, int, int]] = []
+
+        def wt(src: int, dst: int, n: int) -> float:
+            leg = (src, dst, n)
+            legs.append(shared.setdefault(leg, leg))
+            return self._wt(src, dst, n)
+
+        code: List[Tuple] = []
+        emit = code.append
+        # Resolutions, in the order the walk makes them; the dependents
+        # of each are released before the next work item is popped.
+        done: List[int] = []
+        while work:
+            g = work.pop()
+            st = flat[g]
+            r = rank_of[g]
+            deps = deps_of[g]
+            kind = st.kind
+            if kind == _COMPUTE or kind == _OVERHEAD:
+                emit((_K_COMPUTE if kind == _COMPUTE else _K_OVERHEAD,
+                      g, r, deps, None))
+                done.append(g)
+            else:
+                ready[g] = True
+                go = pair[g]
+                if go < 0:
+                    # Unmatched — reported as a stall below.
+                    emit((_K_WAIT, g, r, deps, None))
+                elif kind == _SEND:
+                    src, dst = nodes[g]
+                    n = max(nbytes[g], nbytes[go])
+                    if n <= eager_max:
+                        emit((_K_ESEND, g, r, deps,
+                              wt(src, dst, n + HEADER_BYTES)))
+                        done.append(g)
+                        if ready[go]:
+                            emit((_K_LATE, go, rank_of[go], (), g))
+                            done.append(go)
+                    elif ready[go]:
+                        emit((_K_RNDV, g, r, deps, (
+                            go, True, wt(src, dst, HEADER_BYTES),
+                            wt(dst, src, HEADER_BYTES), wt(src, dst, n),
+                        )))
+                        done.append(g)
+                        done.append(go)
+                    else:
+                        # Parked; the receive side resolves the pair.
+                        emit((_K_WAIT, g, r, deps, None))
+                elif not ready[go]:
+                    # Parked; the send side resolves the pair.
+                    emit((_K_WAIT, g, r, deps, None))
+                else:
+                    src, dst = nodes[go]
+                    n = max(nbytes[go], nbytes[g])
+                    if n <= eager_max:
+                        emit((_K_ERECV, g, r, deps, go))
+                        done.append(g)
+                    else:
+                        emit((_K_RNDV, g, r, deps, (
+                            go, False, wt(src, dst, HEADER_BYTES),
+                            wt(dst, src, HEADER_BYTES), wt(src, dst, n),
+                        )))
+                        done.append(go)
+                        done.append(g)
+            for f in done:
+                resolved[f] = True
+                for j in dependents[f]:
+                    missing[j] -= 1
+                    if missing[j] == 0:
+                        work.append(j)
+            done.clear()
+
+        if not all(resolved):
+            stuck: Dict[int, int] = {}
+            for g, ok in enumerate(resolved):
+                if not ok:
+                    stuck[rank_of[g]] = stuck.get(rank_of[g], 0) + 1
             raise MpiError(
                 "fast-path schedule stalled (cyclic or unmatched "
                 f"wire steps); pending steps per rank: {stuck}"
             )
 
-        return [
-            max((f for f in fin[r] if f is not None), default=arrivals[r])
-            for r in range(size)
-        ], fin
+        rank_rounds = [inst.scheds[r].n_rounds for r in range(size)]
+        meta = next(
+            (s.meta for s in inst.scheds if s is not None and s.meta), None
+        ) or {}
+        name = meta.get("op", "collective")
+        if meta.get("algo"):
+            name = f"{name}[{meta['algo']}]"
+        return _Plan(
+            code=code, legs=legs, offsets=offsets,
+            n_steps=[len(steps) for steps in steps_of],
+            n_rounds=max(rank_rounds, default=0),
+            rank_rounds=rank_rounds, rounds=[st.round for st in flat],
+            data_free=data_free, name=name, nbytes=meta.get("nbytes", 0),
+        )
 
     def _interpret(
-        self, inst: _Instance, send_bytes: List[Dict[int, int]]
-    ) -> None:
-        """Dataflow interpretation: exact data movement (timing is
-        resolved separately; sends record their resolved payload sizes
-        into ``send_bytes`` for the pricer)."""
+        self, inst: _Instance, offsets: Optional[List[int]] = None
+    ) -> Optional[List[int]]:
+        """Dataflow interpretation: exact data movement.  Given the
+        plan's slot ``offsets``, also returns every send slot's resolved
+        payload size (what a compile prices the pair with; 0 for the
+        other slots)."""
         from ..communicator import Communicator
 
         comm = self.comm
@@ -701,6 +711,7 @@ class FastPathEngine(ScheduleEngine):
         size = comm.size
 
         states = [_RankState(inst.scheds[r]) for r in range(size)]
+        send_bytes = None if offsets is None else [0] * offsets[-1]
         #: (comm id, src, dst, tag) → FIFO of (payload, nbytes).
         queues: Dict[Tuple, List] = {}
         #: same key → FIFO of (rank, recv buffer, step idx) still waiting.
@@ -726,11 +737,12 @@ class FastPathEngine(ScheduleEngine):
             if st.kind == _COMPUTE:
                 st.fn()
             elif st.kind == _OVERHEAD:
-                pass  # timing-only; priced in _resolve_times
+                pass  # timing-only; priced by the plan
             elif st.kind == _SEND:
                 buf = st.resolve_buf()
                 nbytes = nbytes_of(buf) if buf is not None else 0
-                send_bytes[r][st.idx] = nbytes
+                if send_bytes is not None:
+                    send_bytes[offsets[r] + st.idx] = nbytes
                 key = (id(tctx.comm), tctx.rank, st.peer, st.tag)
                 arr = payload_array(buf)
                 waiters = parked.get(key)
@@ -808,3 +820,4 @@ class FastPathEngine(ScheduleEngine):
                     "fast-path schedule stalled (cyclic or unmatched "
                     f"wire steps); pending steps per rank: {stuck}"
                 )
+        return send_bytes

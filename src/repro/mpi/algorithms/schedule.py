@@ -143,14 +143,13 @@ class Schedule:
         #: builder invoked directly in tests) falls back to a generic
         #: label; execution is identical either way.
         self.meta: Optional[dict] = None
-        #: Set by builders whose DAG is a pure function of this key and
-        #: whose wire steps carry **no payload** (e.g. the dissemination
-        #: barrier).  The fast-path engine may then skip dataflow
-        #: interpretation and intern the resolved completion offsets
-        #: across repeat instances (a Jacobi run fences every
-        #: iteration with the identical DAG).  Leave ``None`` for any
-        #: schedule that moves data or depends on buffer contents.
-        self.intern_key: Optional[Tuple] = None
+        #: Plan key, stamped by the dispatch layer next to ``meta``: op,
+        #: algorithm, root and the signature of every buffer that sizes
+        #: a wire step, equal on every rank.  The fast-path engine
+        #: compiles each shape once per communicator and prices repeat
+        #: instances from the compiled plan.  ``None`` (a builder
+        #: invoked directly) is never interned.
+        self.shape: Optional[Tuple] = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -328,17 +327,13 @@ class ScheduleEngine:
         self.active = 0
 
     # -- public entry points ------------------------------------------------
-    def execute_barrier(
-        self, ctx: MpiContext
+    def execute_deferred(
+        self, ctx: MpiContext, shape: Tuple, build: Callable
     ) -> Generator[Event, Any, None]:
-        """Build and run the dissemination barrier.  The fast-path
-        engine overrides this to defer the DAG build until completion,
-        so repeat barriers with interned arrival skew skip it."""
-        from .barrier import build_barrier_dissemination
-
-        sched = build_barrier_dissemination(ctx)
-        sched.meta = {"op": "barrier", "algo": "dissemination", "nbytes": 0}
-        return self.execute(ctx, sched)
+        """Build ``build(ctx)``'s schedule (of plan key ``shape``) and
+        run it.  The fast-path engine overrides this to build only when
+        the shape has no compiled plan yet."""
+        return self.execute(ctx, build(ctx))
 
     def start(self, ctx: MpiContext, sched: Schedule, name: str = "") -> Request:
         """Run ``sched`` in its own process; return a :class:`Request`."""

@@ -63,6 +63,7 @@ from .algorithms.base import (
     recv_internal as _recv_internal,
     send_internal as _send_internal,
 )
+from .algorithms.allgather import AllgatherRecv, contiguous_rows
 from .algorithms.barrier import build_barrier_dissemination
 from .algorithms.selector import SCHEDULES
 from .communicator import MpiContext, Request
@@ -72,18 +73,37 @@ from .communicator import MpiContext, Request
 # Schedule-building dispatch helpers (shared by blocking and nonblocking)
 # ---------------------------------------------------------------------------
 
-def _with_meta(sched, op: str, algo: str, nbytes: int):
-    """Stamp collective identity on a built schedule (observability:
-    the engines label the span they emit with it)."""
+def _with_meta(sched, op: str, algo: str, nbytes: int, *sig):
+    """Stamp collective identity on a built schedule: ``meta`` labels
+    the span the engines emit, ``shape`` = ``(op, algo, *sig)`` keys
+    the fast path's compiled plans.  ``sig`` must cover every input
+    that shapes the per-rank DAGs and their message sizes (root,
+    buffer signatures) and be equal on every rank."""
     sched.meta = {"op": op, "algo": algo, "nbytes": nbytes}
+    sched.shape = (op, algo) + sig
     return sched
+
+
+def _sig(buf: Payload):
+    """A buffer's plan-key signature: dtype and array shape, or the
+    byte count / ``None`` of a timing-only payload."""
+    arr = payload_array(buf)
+    return buf if arr is None else (arr.dtype.str, arr.shape)
+
+
+#: Plan key of every dissemination barrier (blocking or not).
+_BARRIER_SHAPE = ("barrier", "dissemination")
+
+
+def _barrier_schedule(ctx: MpiContext):
+    return _with_meta(
+        build_barrier_dissemination(ctx), "barrier", "dissemination", 0
+    )
 
 
 def _build_barrier(ctx: MpiContext):
     ctx.comm._count("barrier")
-    return _with_meta(
-        build_barrier_dissemination(ctx), "barrier", "dissemination", 0
-    )
+    return _barrier_schedule(ctx)
 
 
 def _build_bcast(ctx: MpiContext, buf: Payload, root: int):
@@ -93,7 +113,8 @@ def _build_bcast(ctx: MpiContext, buf: Payload, root: int):
     algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
     ctx.comm._count(f"bcast[{algo}]")
     return _with_meta(
-        SCHEDULES["bcast"][algo](ctx, buf, root=root), "bcast", algo, nbytes
+        SCHEDULES["bcast"][algo](ctx, buf, root=root), "bcast", algo, nbytes,
+        root, _sig(buf),
     )
 
 
@@ -123,7 +144,7 @@ def _build_reduce(
     ctx.comm._count(f"reduce[{algo}]")
     return _with_meta(
         SCHEDULES["reduce"][algo](ctx, sendbuf, recvbuf, op=op, root=root),
-        "reduce", algo, nbytes,
+        "reduce", algo, nbytes, root, _sig(sendbuf),
     )
 
 
@@ -141,27 +162,48 @@ def _build_allreduce(
     ctx.comm._count(f"allreduce[{algo}]")
     return _with_meta(
         SCHEDULES["allreduce"][algo](ctx, sendbuf, recvbuf, op),
-        "allreduce", algo, nbytes,
+        "allreduce", algo, nbytes, _sig(sendbuf), _sig(recvbuf),
     )
 
 
 def _build_allgather(
-    ctx: MpiContext, sendbuf: Payload, recvbufs: Sequence[Payload]
+    ctx: MpiContext, sendbuf: Payload, recvbufs: AllgatherRecv
 ):
     ctx.comm._count("allgather")
-    if len(recvbufs) != ctx.size:
-        raise MpiError("allgather needs one recv buffer per rank")
-    sizes = [nbytes_of(b) if payload_array(b) is not None else None
-             for b in recvbufs]
-    uniform = None not in sizes and len(set(sizes)) <= 1
-    block = sizes[ctx.rank] if uniform else 0
+    if isinstance(recvbufs, np.ndarray):
+        # MPI_Allgather's own layout: row r receives rank r's block.
+        if (
+            recvbufs.ndim < 2
+            or recvbufs.shape[0] != ctx.size
+            or not recvbufs.flags.c_contiguous
+        ):
+            raise MpiError(
+                "allgather recv array must be C-contiguous with shape "
+                f"({ctx.size}, ...); got shape {recvbufs.shape}"
+            )
+        uniform = True
+        block = recvbufs.nbytes // ctx.size
+        blocks = _sig(recvbufs)
+    else:
+        if len(recvbufs) != ctx.size:
+            raise MpiError("allgather needs one recv buffer per rank")
+        arrays = [payload_array(b) for b in recvbufs]
+        sizes = [None if a is None else a.nbytes for a in arrays]
+        uniform = None not in sizes and len(set(sizes)) <= 1
+        block = sizes[ctx.rank] if uniform else 0
+        rows = contiguous_rows(arrays, block) if uniform else None
+        if rows is not None:
+            recvbufs = rows
+            blocks = _sig(rows)
+        else:
+            blocks = tuple(sizes)
     algo = ctx.comm.selector.allgather(
         block, ctx.size, uniform=uniform, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"allgather[{algo}]")
     return _with_meta(
         SCHEDULES["allgather"][algo](ctx, sendbuf, recvbufs),
-        "allgather", algo, block * ctx.size,
+        "allgather", algo, block * ctx.size, blocks,
     )
 
 
@@ -185,7 +227,7 @@ def _build_alltoall(
     ctx.comm._count(f"alltoall[{algo}]")
     return _with_meta(
         SCHEDULES["alltoall"][algo](ctx, sendbufs, recvbufs),
-        "alltoall", algo, block * ctx.size,
+        "alltoall", algo, block * ctx.size, tuple(sizes),
     )
 
 
@@ -196,7 +238,9 @@ def _build_alltoall(
 def barrier(ctx: MpiContext) -> Generator[Event, Any, None]:
     """Dissemination barrier (the engine may defer the DAG build)."""
     ctx.comm._count("barrier")
-    yield from ctx.comm.engine.execute_barrier(ctx)
+    yield from ctx.comm.engine.execute_deferred(
+        ctx, _BARRIER_SHAPE, _barrier_schedule
+    )
 
 
 def bcast(
@@ -237,9 +281,16 @@ def allreduce(
 def allgather(
     ctx: MpiContext,
     sendbuf: Payload,
-    recvbufs: Sequence[Payload],
+    recvbufs: AllgatherRecv,
 ) -> Generator[Event, Any, None]:
-    """Size-adaptive allgather (ring, recursive doubling, or Bruck)."""
+    """Size-adaptive allgather (ring, recursive doubling, Bruck, or
+    hierarchical).
+
+    ``recvbufs`` is either one C-contiguous ``(P, ...)`` array whose
+    row ``r`` receives rank ``r``'s block (MPI_Allgather's layout, set
+    up in O(1) per rank), or a sequence of ``P`` per-rank buffers,
+    which may differ in size (the vector variant, MPI_Allgatherv).
+    """
     yield from ctx.comm.engine.execute(
         ctx, _build_allgather(ctx, sendbuf, recvbufs)
     )
@@ -302,9 +353,9 @@ def iallreduce(
 
 
 def iallgather(
-    ctx: MpiContext, sendbuf: Payload, recvbufs: Sequence[Payload]
+    ctx: MpiContext, sendbuf: Payload, recvbufs: AllgatherRecv
 ) -> Request:
-    """Nonblocking allgather."""
+    """Nonblocking allgather (``recvbufs`` as in :func:`allgather`)."""
     return ctx.comm.engine.start(
         ctx, _build_allgather(ctx, sendbuf, recvbufs),
         name=f"iallgather(r{ctx.rank})",

@@ -544,18 +544,19 @@ class Communicator:
         return seq
 
     def _split_result(
-        self, seq: int, rank: int, pairs: Sequence[Tuple[int, int]]
+        self, seq: int, rank: int, pairs: np.ndarray
     ) -> Optional["Communicator"]:
         """Per-rank pickup of a collective split's result.
 
-        The first rank whose color/key exchange completes constructs
-        the sub-communicators (deterministically — every rank gathered
+        ``pairs`` is the gathered ``(size, 2)`` color/key array.  The
+        first rank whose exchange completes constructs the
+        sub-communicators (deterministically — every rank gathered
         identical pairs); later ranks reuse them.  State is dropped
         once every rank has picked up.
         """
         entry = self._split_built.get(seq)
         if entry is None:
-            built = self.split([p[0] for p in pairs], [p[1] for p in pairs])
+            built = self.split(pairs[:, 0].tolist(), pairs[:, 1].tolist())
             entry = (built, self.size)
             self._split_built[seq] = entry
         built, remaining = entry
@@ -995,10 +996,9 @@ class MpiContext:
 
         seq = comm._split_claim(self.rank)
         mine = np.array([int(color), int(key)], dtype=np.int64)
-        recv = [np.empty(2, dtype=np.int64) for _ in range(comm.size)]
+        recv = np.empty((comm.size, 2), dtype=np.int64)
         yield from c.allgather(self, mine, recv)
-        pairs = [(int(b[0]), int(b[1])) for b in recv]
-        sub = comm._split_result(seq, self.rank, pairs)
+        sub = comm._split_result(seq, self.rank, recv)
         if sub is None:
             return None
         return sub.ctx(sub.rank_of_world(comm.world_ranks[self.rank]))
@@ -1087,7 +1087,7 @@ class MpiContext:
         # ndarray, HostBuffer and DeviceBuffer all expose .nbytes.
         nbytes = 0 if buf is None else int(buf.nbytes)
         mine = np.array([nbytes], dtype=np.int64)
-        recv = [np.empty(1, dtype=np.int64) for _ in range(comm.size)]
+        recv = np.empty((comm.size, 1), dtype=np.int64)
         yield from c.allgather(self, mine, recv)
         win = comm._win_result(seq, self.rank, coalesce=coalesce)
         return win.ctx(self.rank)
@@ -1261,9 +1261,19 @@ class MpiContext:
         yield from c.scatter(self, sendbufs, recvbuf, root=root)
 
     def allgather(
-        self, sendbuf: Payload, recvbufs: Sequence[Payload]
+        self,
+        sendbuf: Payload,
+        recvbufs: Union[np.ndarray, Sequence[Payload]],
     ) -> Generator[Event, Any, None]:
-        """Ring allgather."""
+        """Size-adaptive allgather (ring, recursive doubling, Bruck, or
+        hierarchical; see :mod:`repro.mpi.algorithms`).
+
+        ``recvbufs`` takes two layouts.  One C-contiguous ``(P, ...)``
+        array, row ``r`` receiving rank ``r``'s block, is
+        MPI_Allgather's own layout and costs O(1) set-up per rank.  A
+        sequence of P buffers also works and may mix block sizes (the
+        vector variant, MPI_Allgatherv); it costs O(P) per rank.
+        """
         from . import collectives as c
 
         yield from c.allgather(self, sendbuf, recvbufs)
@@ -1318,9 +1328,11 @@ class MpiContext:
         return c.iallreduce(self, sendbuf, recvbuf, op=op)
 
     def iallgather(
-        self, sendbuf: Payload, recvbufs: Sequence[Payload]
+        self,
+        sendbuf: Payload,
+        recvbufs: Union[np.ndarray, Sequence[Payload]],
     ) -> Request:
-        """Nonblocking allgather."""
+        """Nonblocking allgather (``recvbufs`` as in :meth:`allgather`)."""
         from . import collectives as c
 
         return c.iallgather(self, sendbuf, recvbufs)

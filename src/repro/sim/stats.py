@@ -24,9 +24,11 @@ Counter glossary
     Collectives executed by the analytic backend, and the total number
     of schedule rounds it priced without enqueueing packets.
 ``fastpath_sched_cache_hits``
-    Repeat data-free collectives (interned DAGs — e.g. the fence
-    barrier every Jacobi iteration) whose per-rank completion offsets
-    were reused instead of re-resolved.
+    Collective plan hits: analytic-backend collectives priced from a
+    plan their communicator had already compiled for the same shape
+    (:mod:`repro.mpi.algorithms.fastpath`), at any arrival skew.  The
+    name predates the plans and stays because the repository benchmark
+    reads it (``mpi.fastpath.cache_hit_frac``).
 ``rma_coalesced_puts``
     Small eager RMA puts absorbed into a combined wire transfer.
 ``heap_merges`` / ``heap_merged_events``
@@ -39,8 +41,10 @@ Counter glossary
     whose sender donated a private payload).
 ``wire_cost_hits`` / ``wire_cost_misses``
     Interned-wire-cost cache hits vs. analytic cost-model evaluations
-    in the fast-path backends (collectives and RMA pricing share the
-    cache) — the hit rate is the fast path's memoization health.
+    in the fast-path backends (collectives and RMA pricing) — the hit
+    rate is the fast path's memoization health.  Collectives look wire
+    costs up only when they compile a plan, so a plan hit counts
+    neither.
 ``fastpath_rma_ops``
     One-sided operations priced analytically instead of simulated.
 ``serve_jobs`` / ``serve_backfills`` / ``serve_requests``

@@ -183,6 +183,92 @@ def test_allgather_tiny_non_pof2_selects_bruck_and_wins():
     assert t_adaptive < t_ring
 
 
+def _allgather_layout_run(algo, n_ranks, count, backend, layout):
+    """One forced-``algo`` allgather receiving into a ``(P, count)``
+    array (``rows``), P separate arrays (``list``) or P adjacent slices
+    of one buffer (``slices``); returns (per-rank completion times,
+    per-rank gathered ``(P, count)`` data)."""
+    sim = Simulator()
+    cluster = build_cluster(
+        sim, paper_cluster(nodes=n_ranks, gpus_per_node=0)
+    )
+    job = MpiJob(
+        cluster, block_placement(n_ranks, n_ranks), backend=backend,
+        tuning=CollectiveTuning(force_allgather=algo),
+    )
+    times, data = {}, {}
+
+    def prog(ctx):
+        send = rng(7 * n_ranks + ctx.rank).standard_normal(count)
+        if layout == "rows":
+            recv = np.zeros((n_ranks, count))
+        elif layout == "list":
+            recv = [np.zeros(count) for _ in range(n_ranks)]
+        else:
+            flat = np.zeros(n_ranks * count)
+            recv = [flat[i * count : (i + 1) * count]
+                    for i in range(n_ranks)]
+        yield from ctx.allgather(send, recv)
+        times[ctx.rank] = ctx.sim.now
+        data[ctx.rank] = np.array(recv)
+
+    job.start(prog)
+    job.run()
+    assert job.comm.stats.get(f"allgather[{algo}]") == n_ranks
+    return times, data
+
+
+@pytest.mark.parametrize("layout", ["list", "slices"])
+@pytest.mark.parametrize("backend", ["exact", "analytic", "pricing"])
+@pytest.mark.parametrize("count", [3, 4096])  # eager / rendezvous blocks
+@pytest.mark.parametrize("algo,n_ranks", [
+    ("ring", 6), ("recursive_doubling", 8), ("bruck", 6), ("bruck", 8),
+    ("hierarchical", 6),
+])
+def test_allgather_row_layout_matches_list_layout(
+    algo, n_ranks, count, backend, layout
+):
+    """The ``(P, ...)`` recv array puts the same messages on the wire
+    as a list of buffers: identical data, and identical completion
+    times on every backend (bit for bit on the exact one)."""
+    t_rows, d_rows = _allgather_layout_run(
+        algo, n_ranks, count, backend, "rows"
+    )
+    t_list, d_list = _allgather_layout_run(
+        algo, n_ranks, count, backend, layout
+    )
+    assert t_rows == t_list
+    want = np.stack([
+        rng(7 * n_ranks + r).standard_normal(count) for r in range(n_ranks)
+    ])
+    for r in range(n_ranks):
+        assert np.array_equal(d_rows[r], d_list[r])
+        if backend != "pricing":  # pricing leaves buffers untouched
+            assert np.array_equal(d_rows[r], want)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(4),                      # 1-D: one scalar per rank
+    np.zeros((4, 6))[:, ::2],         # rows not contiguous
+    np.zeros((4, 3), order="F"),      # Fortran order
+    np.zeros((5, 3)),                 # wrong rank count
+])
+def test_allgather_rejects_bad_row_layout(bad):
+    sim, job = make_job(4)
+    caught = []
+
+    def prog(ctx):
+        try:
+            yield from ctx.allgather(np.zeros(3), bad)
+        except MpiError as e:
+            caught.append(str(e))
+
+    job.start(prog)
+    job.run()
+    assert len(caught) == 4
+    assert "C-contiguous" in caught[0]
+
+
 @pytest.mark.parametrize("algo,n_ranks", [
     ("shift", 2), ("shift", 3), ("shift", 5), ("shift", 8),
     ("pairwise", 2), ("pairwise", 4), ("pairwise", 8),

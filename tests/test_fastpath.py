@@ -315,56 +315,147 @@ def test_double_deposit_detected():
 
 
 class _NeverHit(dict):
-    """A fin cache that stores but never serves: every collective
-    resolves cold."""
+    """A plan cache that stores but never serves: every collective
+    compiles cold."""
 
     def get(self, key, default=None):
         return default
 
 
-def _traced_barriers(n_ranks, n_barriers, cold):
-    sim = Simulator()
-    cluster = build_cluster(
-        sim, paper_cluster(nodes=n_ranks, gpus_per_node=0)
-    )
-    rec = sim.attach_spans()
-    job = MpiJob(
-        cluster, block_placement(n_ranks, n_ranks), backend="analytic"
-    )
-    if cold:
-        job.comm.engine._fin_cache = _NeverHit()
-
-    def prog(ctx):
-        for _ in range(n_barriers):
-            yield from ctx.barrier()
-
-    job.start(prog)
-    job.run()
-    return sim, rec
+def _hot_and_cold(n_ranks, prog, tuning=None, traced=False):
+    """Run ``prog(ctx, ends)`` with plans served, then with every
+    collective compiled cold; returns ``(job, ends, recorder)`` for
+    both."""
+    runs = []
+    for cold in (False, True):
+        sim = Simulator()
+        cluster = build_cluster(
+            sim, paper_cluster(nodes=n_ranks, gpus_per_node=0)
+        )
+        rec = sim.attach_spans() if traced else None
+        job = MpiJob(
+            cluster, block_placement(n_ranks, n_ranks), tuning=tuning,
+            backend="analytic",
+        )
+        if cold:
+            job.comm.engine._plans = _NeverHit()
+        ends = []
+        job.start(lambda ctx: prog(ctx, ends))
+        job.run()
+        runs.append((job, ends, rec))
+    return runs
 
 
 def _span_tree(rec):
-    """Span structure (name, category, track, parent position) and the
-    flat list of span start/end times."""
+    """Span structure (name, category, track, parent position, attrs)
+    and the flat list of span start/end times."""
     spans = list(rec.spans)
     pos = {s.sid: i for i, s in enumerate(spans)}
     shape = [
-        (s.name, s.category, s.track, pos.get(s.parent)) for s in spans
+        (s.name, s.category, s.track, pos.get(s.parent), s.attrs)
+        for s in spans
     ]
     times = [t for s in spans for t in (s.t0, s.t1)]
     return shape, times
 
 
-def test_replayed_spans_match_cold_resolve():
-    """A traced fin-cache hit re-emits the span tree a cold resolve of
-    the same collective records: same names, tracks and parent links,
-    and the same times up to the rounding of the base-arrival shift."""
-    sim_hit, rec_hit = _traced_barriers(8, 5, cold=False)
-    sim_cold, rec_cold = _traced_barriers(8, 5, cold=True)
-    assert sim_hit.stats.fastpath_sched_cache_hits > 0
-    assert sim_cold.stats.fastpath_sched_cache_hits == 0
-    assert rec_hit.count("round") > 0
-    shape_hit, times_hit = _span_tree(rec_hit)
+def test_traced_plan_hit_matches_cold_compile():
+    """A traced plan hit emits exactly the span tree a traced cold
+    compile of the same collective records: same names, tracks,
+    parent links and attributes, and bit-identical times.  Barriers (a
+    deferred data-free DAG) and row allgathers (a data-carrying one)
+    repeat under a changing arrival skew."""
+
+    def prog(ctx, ends):
+        for k in range(4):
+            yield ctx.sim.timeout(((3 * ctx.rank + k) % ctx.size) * 1e-6)
+            yield from ctx.barrier()
+            recv = np.zeros((ctx.size, 4))
+            yield from ctx.allgather(np.full(4, float(ctx.rank)), recv)
+            ends.append(ctx.sim.now)
+
+    (hot, ends_hot, rec_hot), (cold, ends_cold, rec_cold) = _hot_and_cold(
+        8, prog, traced=True
+    )
+    assert hot.sim.stats.fastpath_sched_cache_hits == 6
+    assert cold.sim.stats.fastpath_sched_cache_hits == 0
+    assert rec_hot.count("round") > 0
+    shape_hot, times_hot = _span_tree(rec_hot)
     shape_cold, times_cold = _span_tree(rec_cold)
-    assert shape_hit == shape_cold
-    assert times_hit == pytest.approx(times_cold, rel=1e-12, abs=1e-18)
+    assert shape_hot == shape_cold
+    assert times_hot == times_cold
+    assert ends_hot == ends_cold
+
+
+def _plan_keys(n_ranks, prog):
+    sim, job, _ = run_job(n_ranks, lambda out: prog, "analytic")
+    return sim, list(job.comm.engine._plans)
+
+
+def test_plan_key_separates_roots():
+    """Same op, size and algorithm, different root: two plans."""
+
+    def prog(ctx):
+        for root in (0, 3, 0, 3):
+            yield from ctx.bcast(np.zeros(64), root=root)
+
+    sim, keys = _plan_keys(6, prog)
+    assert len(keys) == 2
+    assert {k[2] for k in keys} == {0, 3}
+    assert sim.stats.fastpath_sched_cache_hits == 2
+
+
+def test_plan_key_separates_vector_sizes():
+    """Allgatherv with different per-rank block sizes: two plans, and
+    the repeat prices exactly like a cold compile."""
+
+    def prog(ctx, ends):
+        for sizes in ((1, 2, 3, 4), (4, 3, 2, 1), (1, 2, 3, 4)):
+            recv = [np.zeros(1024 * n) for n in sizes]
+            yield from ctx.allgather(np.ones(1024 * sizes[ctx.rank]), recv)
+            ends.append(ctx.sim.now)
+
+    (hot, ends_hot, _), (_, ends_cold, _) = _hot_and_cold(4, prog)
+    assert len(hot.comm.engine._plans) == 2
+    assert hot.sim.stats.fastpath_sched_cache_hits == 1
+    assert ends_hot == ends_cold
+
+
+def test_plan_hits_through_subcommunicators():
+    """Hierarchical schedules route steps ``via`` sub-communicator
+    contexts; their plans must price repeats exactly like a cold
+    compile, under a changing arrival skew."""
+    tuning = CollectiveTuning(
+        force_allreduce="hierarchical", force_allgather="hierarchical"
+    )
+
+    def prog(ctx, ends):
+        for k in range(3):
+            yield ctx.sim.timeout(((ctx.rank + k) % 3) * 1e-6)
+            yield from ctx.allreduce(np.ones(300), np.zeros(300))
+            recv = np.zeros((ctx.size, 40))
+            yield from ctx.allgather(np.ones(40), recv)
+            ends.append(ctx.sim.now)
+
+    (hot, ends_hot, _), (_, ends_cold, _) = _hot_and_cold(6, prog, tuning)
+    assert hot.comm.stats.get("allreduce[hierarchical]") == 18
+    assert hot.sim.stats.fastpath_sched_cache_hits == 4
+    assert ends_hot == ends_cold
+
+
+def test_plan_hit_with_different_dag_raises():
+    """A shape key that misses a structural input must fail loudly: a
+    hit whose per-rank step counts disagree with the plan raises."""
+    from repro.mpi.algorithms import schedule
+
+    def prog(ctx):
+        yield from ctx.allreduce(np.ones(8), np.zeros(8))
+        # Same key as the allreduce just compiled, but a 2-step DAG.
+        sched = schedule.Schedule()
+        sched.overhead()
+        sched.overhead(after=(0,))
+        sched.shape = next(iter(ctx.comm.engine._plans))
+        yield from ctx.comm.engine.execute(ctx, sched)
+
+    with pytest.raises(MpiError, match="steps on rank"):
+        run_job(4, lambda out: prog, "analytic")

@@ -178,13 +178,13 @@ def test_rendezvous_put_agrees():
 
 def test_analytic_rma_counters():
     """fastpath_rma_ops ticks per analytic op; wire costs intern;
-    repeat fences hit the interned-schedule cache; the exact backend
+    repeat fences hit the compiled collective plan; the exact backend
     never touches any of them."""
     sim_a, job_a, _ = run_job(8, fence_prog(8, 4096), "analytic")
     assert sim_a.stats.fastpath_rma_ops > 0
     assert sim_a.stats.wire_cost_misses > 0
-    # Three fences with identical arrival skew: the first resolves the
-    # dissemination DAG, the rest reuse its interned offsets.
+    # Three fences: the first compiles the dissemination barrier's
+    # plan, the rest are priced from it without building the DAG.
     assert sim_a.stats.fastpath_sched_cache_hits > 0
     sim_e, job_e, _ = run_job(8, fence_prog(8, 4096), "exact")
     assert sim_e.stats.fastpath_rma_ops == 0

@@ -21,14 +21,20 @@ KB = 1024
 MB = 1024 * 1024
 
 
-def make_job(n_ranks, tuning=None):
+def make_job(n_ranks, tuning=None, backend="exact"):
     """One rank per node: every message crosses the interconnect."""
     sim = Simulator()
     cluster = build_cluster(
         sim, paper_cluster(nodes=n_ranks, gpus_per_node=0)
     )
-    job = MpiJob(cluster, block_placement(n_ranks, n_ranks), tuning=tuning)
+    job = MpiJob(cluster, block_placement(n_ranks, n_ranks), tuning=tuning,
+                 backend=backend)
     return sim, job
+
+
+#: The backends that move real data: every forced algorithm's result is
+#: checked on both, so the fast path's data movement cannot drift.
+DATA_BACKENDS = ["exact", "analytic"]
 
 
 def rng(seed):
@@ -45,9 +51,10 @@ ALLREDUCE_ALGOS = ["reduce_bcast", "recursive_doubling", "ring"]
 @pytest.mark.parametrize("algo", ALLREDUCE_ALGOS)
 @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4, 5, 7, 8])
 @pytest.mark.parametrize("count", [1, 3, 257])
-def test_allreduce_algorithms_sum(algo, n_ranks, count):
+@pytest.mark.parametrize("backend", DATA_BACKENDS)
+def test_allreduce_algorithms_sum(algo, n_ranks, count, backend):
     tuning = CollectiveTuning(force_allreduce=algo)
-    sim, job = make_job(n_ranks, tuning=tuning)
+    sim, job = make_job(n_ranks, tuning=tuning, backend=backend)
     payloads = [
         rng(100 * n_ranks + r).standard_normal(count) for r in range(n_ranks)
     ]
@@ -103,10 +110,11 @@ def test_allreduce_algorithms_integer_ops_exact(algo, op, reducer):
     ("bruck", 1), ("bruck", 2), ("bruck", 3), ("bruck", 5),
     ("bruck", 6), ("bruck", 7), ("bruck", 8), ("bruck", 12),
 ])
-def test_allgather_algorithms(algo, n_ranks):
+@pytest.mark.parametrize("backend", DATA_BACKENDS)
+def test_allgather_algorithms(algo, n_ranks, backend):
     count = 17
     tuning = CollectiveTuning(force_allgather=algo)
-    sim, job = make_job(n_ranks, tuning=tuning)
+    sim, job = make_job(n_ranks, tuning=tuning, backend=backend)
     payloads = [
         rng(31 * n_ranks + r).standard_normal(count) for r in range(n_ranks)
     ]
@@ -272,10 +280,12 @@ def test_allgather_rejects_bad_row_layout(bad):
 @pytest.mark.parametrize("algo,n_ranks", [
     ("shift", 2), ("shift", 3), ("shift", 5), ("shift", 8),
     ("pairwise", 2), ("pairwise", 4), ("pairwise", 8),
+    ("bruck", 3), ("bruck", 5), ("bruck", 6), ("bruck", 8), ("bruck", 12),
 ])
-def test_alltoall_algorithms(algo, n_ranks):
+@pytest.mark.parametrize("backend", DATA_BACKENDS)
+def test_alltoall_algorithms(algo, n_ranks, backend):
     tuning = CollectiveTuning(force_alltoall=algo)
-    sim, job = make_job(n_ranks, tuning=tuning)
+    sim, job = make_job(n_ranks, tuning=tuning, backend=backend)
     result = {}
 
     def prog(ctx):

@@ -459,3 +459,20 @@ def test_plan_hit_with_different_dag_raises():
 
     with pytest.raises(MpiError, match="steps on rank"):
         run_job(4, lambda out: prog, "analytic")
+
+
+@pytest.mark.parametrize("backend", ["analytic", "pricing"])
+def test_unmatched_send_stalls(backend):
+    """A hand-built schedule whose send no rank receives cannot
+    complete: the fast path reports the stall instead of hanging."""
+    from repro.mpi.algorithms import schedule
+
+    def prog(ctx):
+        sched = schedule.Schedule()
+        if ctx.rank == 0:
+            sched.send(np.ones(4), 1, 7)
+        sched.overhead()
+        yield from ctx.comm.engine.execute(ctx, sched)
+
+    with pytest.raises(MpiError, match="fast-path schedule stalled"):
+        run_job(2, lambda out: prog, backend)

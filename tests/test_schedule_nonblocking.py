@@ -20,11 +20,12 @@ KB = 1024
 MB = 1024 * 1024
 
 
-def make_job(n_ranks, n_nodes=None, tuning=None):
+def make_job(n_ranks, n_nodes=None, tuning=None, backend="exact"):
     sim = Simulator()
     n_nodes = n_nodes if n_nodes is not None else n_ranks
     cluster = build_cluster(sim, paper_cluster(nodes=n_nodes, gpus_per_node=0))
-    return sim, MpiJob(cluster, block_placement(n_ranks, n_nodes), tuning=tuning)
+    return sim, MpiJob(cluster, block_placement(n_ranks, n_nodes),
+                       tuning=tuning, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +228,9 @@ def test_two_nonblocking_collectives_in_flight():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_ranks,root", [(4, 0), (5, 2), (8, 7), (9, 1)])
-def test_pipelined_bcast_correct(n_ranks, root):
-    sim, job = make_job(n_ranks,
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+def test_pipelined_bcast_correct(n_ranks, root, backend):
+    sim, job = make_job(n_ranks, backend=backend,
                         tuning=CollectiveTuning(force_bcast="pipelined"))
     out = {}
 
@@ -268,9 +270,11 @@ def test_pipelined_bcast_beats_binomial_large():
     # Non-powers of two: the excess ranks fold in first.
     (3, 0, 100), (6, 5, 1000), (7, 2, 4096), (12, 0, 17),
 ])
-def test_rabenseifner_reduce_correct(n_ranks, root, count):
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+def test_rabenseifner_reduce_correct(n_ranks, root, count, backend):
     sim, job = make_job(
-        n_ranks, tuning=CollectiveTuning(force_reduce="rabenseifner")
+        n_ranks, backend=backend,
+        tuning=CollectiveTuning(force_reduce="rabenseifner"),
     )
     out = {}
 
@@ -327,9 +331,11 @@ def test_rabenseifner_beats_binomial_large():
 
 
 @pytest.mark.parametrize("n_ranks", [3, 4, 6, 8, 12])
-def test_bruck_alltoall_correct(n_ranks):
+@pytest.mark.parametrize("backend", ["exact", "analytic"])
+def test_bruck_alltoall_correct(n_ranks, backend):
     sim, job = make_job(
-        n_ranks, tuning=CollectiveTuning(force_alltoall="bruck")
+        n_ranks, backend=backend,
+        tuning=CollectiveTuning(force_alltoall="bruck"),
     )
     out = {}
 

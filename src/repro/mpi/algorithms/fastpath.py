@@ -13,12 +13,10 @@ schedules (same builders, same selector decisions, same tag claims, same
    legally complete before the last rank shows up).  Each rank's issue
    time is recorded at deposit, so skewed arrivals propagate into the
    timing exactly as they do in the exact engine.
-2. **Interpret** — the per-rank DAGs run as a deterministic dataflow:
-   computes run inline, sends deliver payloads straight into matched
-   receive buffers (rank-0-first round-robin, one step per rank per
-   cycle; per-key FIFO message queues mirror the matcher's
-   non-overtaking order).  Data results are therefore *bit-identical* to
-   the exact simulator.  Data-free schedules (the barrier) skip this.
+2. **Move data** — the plan's *data program* (below) lands every
+   payload: computes run inline and sends deliver straight into their
+   paired receive buffers, so data results are *bit-identical* to the
+   exact simulator.  Data-free schedules (the barrier) have none.
 3. **Price** — completion times come from a per-step critical-path
    model over the very same DAGs: the k-th send on a
    ``(comm, src, dst, tag)`` key pairs with the k-th receive (the
@@ -52,9 +50,33 @@ straight-line pass over the plan that does the same float operations,
 in the same order, as the walk it was compiled from.  Times are
 therefore bit-identical whether a plan is fresh or reused, at any
 arrival skew, traced or not.  A data-free shape whose plan exists is
-never even built (``execute_deferred``); a data-carrying one is still
-built and interpreted, since its payloads must move, but the
-pairing, sizing and wire-cost work is gone.
+never even built (``execute_deferred``).
+
+**The data program.**  The compiling walk moves the compiling
+instance's data as it resolves each step, and records what it did as a
+straight-line list of operations: resolve a wire step's buffer, run a
+compute, snapshot a send whose receive is not yet posted, deliver a
+send into its posted receive, deliver a snapshot into its receive.
+Delivery goes through ``Communicator._deliver``, so a private payload
+is adopted by an :class:`~repro.mpi.datatypes.AdoptBuf` receive exactly
+as the matcher would.  A data-carrying hit still builds its DAGs (the
+closures are per instance) and replays the program over them
+(:meth:`_Plan.replay`); pairing comes from the plan's per-slot
+``pair`` list.  Times do not depend on the walk's order — each slot's
+float expression is fixed — but data does: a lazy send buffer reads
+state a later compute rewrites (Bruck alltoall packs its round-k+1
+send from the slots its own round-k+1 unpack overwrites).  So the walk
+mirrors the exact engine:
+
+* after each resolution it runs every compute that resolution
+  releases, transitively, lowest slot first (each rank's engine pops
+  its ready heap the same way);
+* only then does it resolve the buffers of the wire steps released —
+  a spawned wire process reads its buffer only after its rank's
+  inline computes;
+* it takes wire steps FIFO, posted receives before sends, so a send
+  almost always finds its receive posted and delivers straight into
+  it with no snapshot (a LIFO walk moves the same data but copies).
 
 The key is the ``shape`` tuple the dispatch layer stamps on each
 schedule (``collectives._with_meta``): op, algorithm, root, and the
@@ -83,25 +105,27 @@ RMA epochs take their own analytic path in :mod:`repro.mpi.rma` — only
 schedule-compiled collectives take *this* one.  Selection thresholds,
 being driven by the same tuning, match the exact backend exactly.
 
-**Pricing-only mode** (``backend="pricing"``): skips the dataflow
-interpretation entirely and sizes messages straight off the step lists
-— same critical-path model, bit-identical simulated times, but receive
-buffers are left untouched (compute steps never run).  This is the
-sweep mode: a 1024-rank collective costs one pass over its plan, which
-is what makes the ``BENCH_scale.json`` sweeps interactive.  Never use
-it when the program consumes the data it communicates.
+**Pricing-only mode** (``backend="pricing"``): the same walk with no
+data program — computes never run and receive buffers are left
+untouched; each pair is priced with the larger of its two statically
+resolved buffer sizes, so simulated times stay bit-identical to
+``analytic``.  This is the sweep mode: a 1024-rank collective costs
+one pass over its plan, which is what makes the ``BENCH_scale.json``
+sweeps interactive.  Never use it when the program consumes the data
+it communicates.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ...hw.memory import nbytes_of
 from ...sim.batch import EventBatch
 from ...sim.core import Event, us
-from ..datatypes import AdoptBuf, payload_array
+from ..datatypes import payload_array
 from ..errors import MpiError
 from .schedule import ScheduleEngine, Schedule, _Step, _round_name
 
@@ -112,14 +136,21 @@ _RECV = "recv"
 _COMPUTE = "compute"
 _OVERHEAD = "overhead"
 
-# Plan instruction kinds (see _Plan.evaluate).
+# Plan instruction kinds (see _Plan.evaluate).  A wire step that waits
+# for its pair emits nothing until the pair resolves.
 _K_COMPUTE = 0   # fin = ready
 _K_OVERHEAD = 1  # fin = ready + sw
-_K_WAIT = 2      # a wire step is ready; its pair resolves later
+_K_READY = 2     # the first-ready side of a rendezvous pair: ready only
 _K_ESEND = 3     # eager send: fin = ready + sw + wire
-_K_ERECV = 4     # eager receive whose send already finished
-_K_LATE = 5      # eager receive that was ready first, finished by its send
-_K_RNDV = 6      # second-ready side of a rendezvous pair: both finish
+_K_ERECV = 4     # eager receive: fin = max(ready + sw, send fin)
+_K_RNDV = 5      # second-ready side of a rendezvous pair: both finish
+
+# Data program operations (see _data_mover).
+_D_RESOLVE = 0  # resolve a wire step's (possibly lazy) buffer
+_D_COMPUTE = 1  # run a compute step
+_D_SNAP = 2     # snapshot a send whose receive is not yet posted
+_D_DIRECT = 3   # deliver a send into its posted receive
+_D_TAKE = 4     # deliver a send's snapshot into its receive
 
 #: ``_Instance.shape`` before the first deposit.
 _UNSET = object()
@@ -165,46 +196,48 @@ class _Instance:
         self.arrived += 1
 
 
-class _RankState:
-    """Dataflow bookkeeping for one rank's DAG (mirrors ``_execute``)."""
+def _data_mover(flat: List[_Step], pair: List[int], stats):
+    """An executor of data-program operations over one instance's
+    steps (``flat``, by slot); returned with its per-slot resolved
+    buffers, which the compiling walk sizes wire steps from."""
+    from ..communicator import Communicator
 
-    __slots__ = (
-        "steps", "missing", "dependents", "ready", "ready_recv", "done"
-    )
+    deliver = Communicator._deliver
+    bufs: List[Any] = [None] * len(flat)
+    #: Per send slot, the payload snapshotted while its receive was
+    #: not yet posted.
+    held: List[Any] = [None] * len(flat)
 
-    def __init__(self, sched: Schedule) -> None:
-        steps = sched.steps
-        self.steps = steps
-        self.missing = [len(s.deps) for s in steps]
-        self.dependents: List[List[int]] = [[] for _ in steps]
-        for s in steps:
-            for d in s.deps:
-                self.dependents[d].append(s.idx)
-        # Receives ready to post are kept apart from other ready steps:
-        # the interpreter parks every ready receive before running any
-        # send, so deliveries hit a waiting buffer (zero-copy) instead
-        # of forcing a queue snapshot.
-        self.ready: List[int] = []
-        self.ready_recv: List[int] = []
-        for i in range(len(steps)):
-            if self.missing[i] == 0:
-                self._push(i)
-        heapq.heapify(self.ready)
-        heapq.heapify(self.ready_recv)
-        self.done = 0
+    def run(op: int, g: int) -> None:
+        if op == _D_RESOLVE:
+            bufs[g] = flat[g].resolve_buf()
+        elif op == _D_COMPUTE:
+            flat[g].fn()
+        elif op == _D_DIRECT:
+            # Source → destination, no snapshot.  Only a donated
+            # payload is private here (the live array is otherwise
+            # still the sender's).
+            arr = payload_array(bufs[g])
+            if arr is not None:
+                stats.payload_views += 1
+            deliver(bufs[pair[g]], arr, flat[g].donate, stats)
+        elif op == _D_SNAP:
+            arr = payload_array(bufs[g])
+            if arr is not None:
+                if flat[g].donate:
+                    # Donated: nothing writes the array again, so it
+                    # can wait for its receive un-snapshotted.
+                    stats.payload_views += 1
+                else:
+                    arr = arr.copy()
+                    stats.payload_copies += 1
+            held[g] = arr
+        else:  # _D_TAKE
+            # Held payloads are private either way (donated or freshly
+            # snapshotted): adoptable at the receive.
+            deliver(bufs[g], held[pair[g]], True, stats)
 
-    def _push(self, idx: int) -> None:
-        if self.steps[idx].kind == _RECV:
-            heapq.heappush(self.ready_recv, idx)
-        else:
-            heapq.heappush(self.ready, idx)
-
-    def finish(self, idx: int) -> None:
-        self.done += 1
-        for j in self.dependents[idx]:
-            self.missing[j] -= 1
-            if self.missing[j] == 0:
-                self._push(j)
+    return run, bufs
 
 
 @dataclass(eq=False)
@@ -214,7 +247,9 @@ class _Plan:
     Steps are numbered rank-major: rank ``r``'s step ``i`` is slot
     ``offsets[r] + i``.  A plan lives as long as its communicator, so
     it shares what repeats: slot numbers, dependency tuples, legs and
-    interned wire times are stored once (about 200 B per step).
+    interned wire times are stored once (about 200 B per step, plus
+    9 B per data-program operation: a code byte and a shared slot
+    int).
     """
 
     #: One instruction per resolution event of the compiling walk, in
@@ -230,8 +265,13 @@ class _Plan:
     #: round label — what the traced span tree is drawn from.
     rank_rounds: List[int]
     rounds: List[int]
-    #: No payloads and no compute steps: nothing to interpret.
-    data_free: bool
+    #: Per wire slot, the slot of the step it pairs with (-1: none).
+    pair: List[int]
+    #: The data program: one operation code per entry, and the slot
+    #: it applies to.  Empty for a data-free shape or a pricing-only
+    #: engine.
+    data_ops: bytes
+    data_slots: List[int]
     #: Span label and ``nbytes`` attribute (from the schedule meta).
     name: str
     nbytes: int
@@ -246,6 +286,14 @@ class _Plan:
                     f"{len(sched.steps)}: the shape key misses an input "
                     "that changes the DAG"
                 )
+
+    def replay(self, inst: _Instance, stats) -> None:
+        """Move one instance's data: run the data program over its
+        freshly built DAGs."""
+        flat = [st for sched in inst.scheds for st in sched.steps]
+        run = _data_mover(flat, self.pair, stats)[0]
+        for op, g in zip(self.data_ops, self.data_slots):
+            run(op, g)
 
     def evaluate(
         self, arrivals: List[float], sw: float, acct: Optional[Callable]
@@ -272,18 +320,13 @@ class _Plan:
         fin = [0.0] * n_slots
         rdy = [0.0] * n_slots
         for kind, g, r, deps, arg in self.code:
-            if kind == _K_LATE:
-                t = rdy[g] + sw
-                f = fin[arg]
-                fin[g] = f if f > t else t
-                continue
             t = arrivals[r]
             for d in deps:
                 f = fin[d]
                 if f > t:
                     t = f
             rdy[g] = t
-            if kind == _K_WAIT:
+            if kind == _K_READY:
                 continue
             if kind == _K_COMPUTE:
                 fin[g] = t
@@ -409,12 +452,12 @@ class FastPathEngine(ScheduleEngine):
         plan = self._plans.get(shape) if shape is not None else None
         if plan is not None:
             stats.fastpath_sched_cache_hits += 1
-            if inst.build is not None and not plan.data_free:
+            if inst.build is not None and plan.data_ops:
                 self._build_all(inst)
             if inst.scheds[0] is not None:
                 plan.check(inst)
-            if not (self.price_only or plan.data_free):
-                self._interpret(inst)
+            if plan.data_ops:
+                plan.replay(inst, stats)
         else:
             if inst.build is not None:
                 self._build_all(inst)
@@ -473,7 +516,7 @@ class FastPathEngine(ScheduleEngine):
             attrs={"n_ranks": size},
         )
         spans.instant(now, name, "fastpath.interpret", ftrack,
-                      attrs={"priced": self.price_only or plan.data_free})
+                      attrs={"priced": not plan.data_ops})
         backend = comm.backend
         for r in range(size):
             rtrack = comm.span_track(r)
@@ -507,16 +550,17 @@ class FastPathEngine(ScheduleEngine):
                       attrs={"n_ranks": size})
 
     def _compile(self, inst: _Instance) -> _Plan:
-        """Compile the instance's DAGs into a :class:`_Plan`.
+        """Compile the instance's DAGs into a :class:`_Plan`, moving its
+        data on the way (unless the engine is pricing-only or the shape
+        is data-free).
 
-        Message sizes come from the dataflow interpreter (which also
-        moves this instance's data) or, for pricing-only and data-free
-        schedules, straight off the step buffers.  The walk is a
-        dependency-order resolution over all ranks' DAGs: every step
-        becomes ready the moment its dependencies finish (wire steps
-        are spawned processes in the exact engine, so independent
-        steps overlap freely), and a wire pair resolves when the
-        protocol says both of its times are known.
+        The walk is a dependency-order resolution over all ranks' DAGs:
+        every step becomes ready the moment its dependencies finish
+        (wire steps are spawned processes in the exact engine, so
+        independent steps overlap freely), and a wire pair resolves
+        when the protocol says both of its times are known.  It takes
+        steps in the order the module doc's data ordering rule sets; a
+        step it never resolves is reported as a stall.
         """
         from ..communicator import HEADER_BYTES
 
@@ -533,27 +577,9 @@ class FastPathEngine(ScheduleEngine):
         #: One int object per slot number, shared by everything the
         #: plan stores (slot numbers past 256 are not cached by Python).
         ids = list(range(len(flat)))
-        data_free = all(
-            st.buf is None and st.kind != _COMPUTE for st in flat
+        moves = not self.price_only and any(
+            st.buf is not None or st.kind == _COMPUTE for st in flat
         )
-        # Resolved payload size per wire slot; a pair is priced with
-        # the larger of its two sides.
-        if self.price_only or data_free:
-            # Computes never run in pricing mode, so a lazy send buffer
-            # built from staged data can under-resolve; the posted
-            # receive buffer is statically the right size, so each pair
-            # is priced with the larger of the two resolved sizes —
-            # which equals the interpreted send size, keeping pricing
-            # bit-identical to analytic.
-            nbytes = [0] * len(flat)
-            for g, st in enumerate(flat):
-                if st.kind == _SEND or st.kind == _RECV:
-                    buf = st.resolve_buf()
-                    if buf is not None:
-                        nbytes[g] = nbytes_of(buf)
-        else:
-            # Interpreted sends carry the exact size; receives stay 0.
-            nbytes = self._interpret(inst, offsets)
 
         # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
         # with the k-th receive, both in step-index order — the
@@ -597,10 +623,26 @@ class FastPathEngine(ScheduleEngine):
         for g, deps in enumerate(deps_of):
             for d in deps:
                 dependents[d].append(ids[g])
-        work = [ids[g] for g, m in enumerate(missing) if m == 0]
         ready = [False] * len(flat)
         resolved = [False] * len(flat)
+        # Payload size per wire slot; a pair is priced with the larger
+        # of its two sides.  When data moves, a send's is set as its
+        # buffer resolves and a receive counts 0.  When nothing moves,
+        # computes never run, so a lazy send buffer built from staged
+        # data can under-resolve; each side is then sized off its
+        # buffer when its pair is first priced (no compute has run, so
+        # any time gives the same size), and the posted receive, which
+        # is statically the right size, makes the larger one equal the
+        # analytic send size.
+        nbytes = [0 if moves else -1] * len(flat)
         legs: List[Tuple[int, int, int]] = []
+
+        def wire_bytes(g: int) -> int:
+            n = nbytes[g]
+            if n < 0:
+                buf = flat[g].resolve_buf()
+                n = nbytes[g] = nbytes_of(buf) if buf is not None else 0
+            return n
 
         def wt(src: int, dst: int, n: int) -> float:
             leg = (src, dst, n)
@@ -609,68 +651,112 @@ class FastPathEngine(ScheduleEngine):
 
         code: List[Tuple] = []
         emit = code.append
-        # Resolutions, in the order the walk makes them; the dependents
-        # of each are released before the next work item is popped.
-        done: List[int] = []
-        while work:
-            g = work.pop()
-            st = flat[g]
+        data_ops = bytearray()
+        data_slots: List[int] = []
+        if moves:
+            run, bufs = _data_mover(flat, pair, comm.sim.stats)
+
+        def move(op: int, g: int) -> None:
+            data_ops.append(op)
+            data_slots.append(g)
+            run(op, g)
+
+        # Wire steps waiting to be taken, FIFO: posted receives first,
+        # then sends and overheads.
+        recvq: deque = deque()
+        sendq: deque = deque()
+        computes: List[int] = []  # min-heap of released compute slots
+        wires: List[int] = []     # released wire steps, buffers unresolved
+
+        def release(g: int) -> None:
+            if flat[g].kind == _COMPUTE:
+                heapq.heappush(computes, g)
+            else:
+                wires.append(g)
+
+        def resolve(g: int) -> None:
+            resolved[g] = True
+            for j in dependents[g]:
+                missing[j] -= 1
+                if missing[j] == 0:
+                    release(j)
+
+        for g, m in enumerate(missing):
+            if m == 0:
+                release(ids[g])
+        while True:
+            # Run every compute the last resolution released,
+            # transitively; only then resolve the released wire steps'
+            # buffers.
+            while computes:
+                g = heapq.heappop(computes)
+                if moves:
+                    move(_D_COMPUTE, g)
+                emit((_K_COMPUTE, g, rank_of[g], deps_of[g], None))
+                resolve(g)
+            for g in wires:
+                kind = flat[g].kind
+                if moves and kind != _OVERHEAD:
+                    move(_D_RESOLVE, g)
+                    if kind == _SEND and bufs[g] is not None:
+                        nbytes[g] = nbytes_of(bufs[g])
+                (recvq if kind == _RECV else sendq).append(g)
+            wires.clear()
+
+            if recvq:
+                g = recvq.popleft()
+            elif sendq:
+                g = sendq.popleft()
+            else:
+                break
             r = rank_of[g]
             deps = deps_of[g]
-            kind = st.kind
-            if kind == _COMPUTE or kind == _OVERHEAD:
-                emit((_K_COMPUTE if kind == _COMPUTE else _K_OVERHEAD,
-                      g, r, deps, None))
-                done.append(g)
-            else:
-                ready[g] = True
-                go = pair[g]
-                if go < 0:
-                    # Unmatched — reported as a stall below.
-                    emit((_K_WAIT, g, r, deps, None))
-                elif kind == _SEND:
-                    src, dst = nodes[g]
-                    n = max(nbytes[g], nbytes[go])
-                    if n <= eager_max:
-                        emit((_K_ESEND, g, r, deps,
-                              wt(src, dst, n + HEADER_BYTES)))
-                        done.append(g)
-                        if ready[go]:
-                            emit((_K_LATE, go, rank_of[go], (), g))
-                            done.append(go)
-                    elif ready[go]:
-                        emit((_K_RNDV, g, r, deps, (
-                            go, True, wt(src, dst, HEADER_BYTES),
-                            wt(dst, src, HEADER_BYTES), wt(src, dst, n),
-                        )))
-                        done.append(g)
-                        done.append(go)
-                    else:
-                        # Parked; the receive side resolves the pair.
-                        emit((_K_WAIT, g, r, deps, None))
-                elif not ready[go]:
-                    # Parked; the send side resolves the pair.
-                    emit((_K_WAIT, g, r, deps, None))
+            kind = flat[g].kind
+            go = pair[g]
+            ready[g] = True
+            if kind == _OVERHEAD:
+                emit((_K_OVERHEAD, g, r, deps, None))
+                resolve(g)
+            elif go < 0:
+                pass  # unmatched: reported as a stall below
+            elif kind == _SEND:
+                if moves:
+                    move(_D_DIRECT if ready[go] else _D_SNAP, g)
+                src, dst = nodes[g]
+                n = max(wire_bytes(g), wire_bytes(go))
+                if n <= eager_max:
+                    emit((_K_ESEND, g, r, deps,
+                          wt(src, dst, n + HEADER_BYTES)))
+                    resolve(g)
+                    if ready[go]:
+                        emit((_K_ERECV, go, rank_of[go], deps_of[go], g))
+                        resolve(go)
+                elif ready[go]:
+                    emit((_K_READY, go, rank_of[go], deps_of[go], None))
+                    emit((_K_RNDV, g, r, deps, (
+                        go, True, wt(src, dst, HEADER_BYTES),
+                        wt(dst, src, HEADER_BYTES), wt(src, dst, n),
+                    )))
+                    resolve(g)
+                    resolve(go)
+                # else parked; the receive side resolves the pair
+            elif ready[go]:
+                if moves:
+                    move(_D_TAKE, g)
+                src, dst = nodes[go]
+                n = max(wire_bytes(go), wire_bytes(g))
+                if n <= eager_max:
+                    emit((_K_ERECV, g, r, deps, go))
+                    resolve(g)
                 else:
-                    src, dst = nodes[go]
-                    n = max(nbytes[go], nbytes[g])
-                    if n <= eager_max:
-                        emit((_K_ERECV, g, r, deps, go))
-                        done.append(g)
-                    else:
-                        emit((_K_RNDV, g, r, deps, (
-                            go, False, wt(src, dst, HEADER_BYTES),
-                            wt(dst, src, HEADER_BYTES), wt(src, dst, n),
-                        )))
-                        done.append(go)
-                        done.append(g)
-            for f in done:
-                resolved[f] = True
-                for j in dependents[f]:
-                    missing[j] -= 1
-                    if missing[j] == 0:
-                        work.append(j)
-            done.clear()
+                    emit((_K_READY, go, rank_of[go], deps_of[go], None))
+                    emit((_K_RNDV, g, r, deps, (
+                        go, False, wt(src, dst, HEADER_BYTES),
+                        wt(dst, src, HEADER_BYTES), wt(src, dst, n),
+                    )))
+                    resolve(go)
+                    resolve(g)
+            # else posted; the send side resolves the pair
 
         if not all(resolved):
             stuck: Dict[int, int] = {}
@@ -694,130 +780,6 @@ class FastPathEngine(ScheduleEngine):
             n_steps=[len(steps) for steps in steps_of],
             n_rounds=max(rank_rounds, default=0),
             rank_rounds=rank_rounds, rounds=[st.round for st in flat],
-            data_free=data_free, name=name, nbytes=meta.get("nbytes", 0),
+            pair=pair, data_ops=bytes(data_ops), data_slots=data_slots,
+            name=name, nbytes=meta.get("nbytes", 0),
         )
-
-    def _interpret(
-        self, inst: _Instance, offsets: Optional[List[int]] = None
-    ) -> Optional[List[int]]:
-        """Dataflow interpretation: exact data movement.  Given the
-        plan's slot ``offsets``, also returns every send slot's resolved
-        payload size (what a compile prices the pair with; 0 for the
-        other slots)."""
-        from ..communicator import Communicator
-
-        comm = self.comm
-        stats = comm.sim.stats
-        size = comm.size
-
-        states = [_RankState(inst.scheds[r]) for r in range(size)]
-        send_bytes = None if offsets is None else [0] * offsets[-1]
-        #: (comm id, src, dst, tag) → FIFO of (payload, nbytes).
-        queues: Dict[Tuple, List] = {}
-        #: same key → FIFO of (rank, recv buffer, step idx) still waiting.
-        parked: Dict[Tuple, List] = {}
-
-        def deliver_to(rank: int, buf, data, nbytes: int,
-                       private: bool = True) -> None:
-            # Mirror the matcher's adoption path: a private payload
-            # (queue snapshot, or a donated direct delivery) may be
-            # taken over by an AdoptBuf receive outright.
-            if (
-                private
-                and isinstance(buf, AdoptBuf)
-                and data is not None
-                and buf.adopt(data)
-            ):
-                stats.payload_adopted += 1
-            else:
-                Communicator._deliver(buf, data, nbytes)
-
-        def run_step(r: int, st: _Step) -> None:
-            tctx = st.via if st.via is not None else inst.ctxs[r]
-            if st.kind == _COMPUTE:
-                st.fn()
-            elif st.kind == _OVERHEAD:
-                pass  # timing-only; priced by the plan
-            elif st.kind == _SEND:
-                buf = st.resolve_buf()
-                nbytes = nbytes_of(buf) if buf is not None else 0
-                if send_bytes is not None:
-                    send_bytes[offsets[r] + st.idx] = nbytes
-                key = (id(tctx.comm), tctx.rank, st.peer, st.tag)
-                arr = payload_array(buf)
-                waiters = parked.get(key)
-                if waiters:
-                    # A matched receiver is already parked: deliver
-                    # source → destination directly, no snapshot.  Only
-                    # a donated payload is private here (the live array
-                    # is otherwise still the sender's).
-                    rank2, rbuf, ridx = waiters.pop(0)
-                    if arr is not None:
-                        stats.payload_views += 1
-                    deliver_to(rank2, rbuf, arr, nbytes,
-                               private=st.donate)
-                    states[rank2].finish(ridx)
-                else:
-                    if arr is not None:
-                        if st.donate:
-                            # Donated: nothing writes the array again,
-                            # so it can sit in the queue un-snapshotted.
-                            stats.payload_views += 1
-                        else:
-                            arr = arr.copy()
-                            stats.payload_copies += 1
-                    # Queue entries are private either way (donated or
-                    # freshly snapshotted) — adoptable at the recv.
-                    queues.setdefault(key, []).append((arr, nbytes))
-            elif st.kind == _RECV:
-                key = (id(tctx.comm), st.peer, tctx.rank, st.tag)
-                buf = st.resolve_buf()
-                queue = queues.get(key)
-                if queue:
-                    data, nbytes = queue.pop(0)
-                    deliver_to(r, buf, data, nbytes)
-                else:
-                    parked.setdefault(key, []).append((r, buf, st.idx))
-                    return  # finished later, at delivery
-            else:  # pragma: no cover - defensive
-                raise MpiError(f"unknown step kind {st.kind!r}")
-            states[r].finish(st.idx)
-
-        # Round-robin cycles, fully deterministic: first every rank
-        # parks (or drains) all its ready receives, then each rank runs
-        # one other ready step.  Posting receives first means a send
-        # almost always finds its peer's buffer parked and delivers
-        # directly — the zero-copy path — instead of snapshotting into
-        # a queue; one non-receive step per rank per cycle bounds
-        # run-ahead so the lockstep holds.
-        total = sum(len(s.steps) for s in states)
-        done_total = 0
-        while done_total < total:
-            progressed = False
-            for r in range(size):
-                state = states[r]
-                while state.ready_recv:
-                    idx = heapq.heappop(state.ready_recv)
-                    run_step(r, state.steps[idx])
-                    progressed = True
-            for r in range(size):
-                state = states[r]
-                if state.ready:
-                    idx = heapq.heappop(state.ready)
-                    run_step(r, state.steps[idx])
-                    progressed = True
-                while state.ready_recv:
-                    idx = heapq.heappop(state.ready_recv)
-                    run_step(r, state.steps[idx])
-            done_total = sum(s.done for s in states)
-            if not progressed and done_total < total:
-                stuck = {
-                    r: len(s.steps) - s.done
-                    for r, s in enumerate(states)
-                    if s.done < len(s.steps)
-                }
-                raise MpiError(
-                    "fast-path schedule stalled (cyclic or unmatched "
-                    f"wire steps); pending steps per rank: {stuck}"
-                )
-        return send_bytes

@@ -856,22 +856,31 @@ class Communicator:
                     data = yield msg.payload_arrived
             else:
                 data = msg.data
-            if (
-                isinstance(buf, AdoptBuf)
-                and msg.private
-                and data is not None
-                and buf.adopt(data)
-            ):
-                # Adopted the in-flight array outright: no delivery copy.
-                self.sim.stats.payload_adopted += 1
-            else:
-                self._deliver(buf, data, msg.nbytes)
+            self._deliver(buf, data, msg.private, self.sim.stats)
             return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
         finally:
             self._inflight_ops -= 1
 
     @staticmethod
-    def _deliver(buf: Payload, data: Optional[np.ndarray], nbytes: int) -> None:
+    def _deliver(
+        buf: Payload, data: Optional[np.ndarray], private: bool, stats
+    ) -> None:
+        """Land a matched payload in the receive buffer ``buf``.
+
+        A private payload (a send-time snapshot, or a donated array) is
+        adopted outright by an :class:`AdoptBuf` receive, with no
+        delivery copy (``stats.payload_adopted``); anything else is
+        copied in.  The exact matcher and the fast path both land
+        payloads here.
+        """
+        if (
+            private
+            and data is not None
+            and isinstance(buf, AdoptBuf)
+            and buf.adopt(data)
+        ):
+            stats.payload_adopted += 1
+            return
         arr = payload_array(buf)
         if arr is None:
             return  # timing-only receive

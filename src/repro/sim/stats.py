@@ -16,7 +16,10 @@ Counter glossary
     analytically replaces thousands of pops with a handful.
 ``payload_copies`` / ``payload_views``
     Defensive ``np.copy`` snapshots taken at send time vs. sends that
-    proved alias-safe and shipped a zero-copy view instead.
+    proved alias-safe and shipped a zero-copy view instead.  On the
+    analytic fast path a send delivered straight into its posted
+    receive counts as a view; one whose receive is not yet posted is
+    snapshotted, as a view when donated and a copy otherwise.
 ``batch_events``
     Completions delivered through an :class:`~repro.sim.batch.EventBatch`
     carrier (many logical completions drained by one heap operation).
@@ -38,7 +41,9 @@ Counter glossary
 ``payload_adopted``
     Receives that adopted the in-flight message array outright instead
     of memcpying it into a staging buffer (schedule-internal receives
-    whose sender donated a private payload).
+    whose sender donated a private payload).  The exact matcher and the
+    fast path's data program count it in the same place
+    (``Communicator._deliver``).
 ``wire_cost_hits`` / ``wire_cost_misses``
     Interned-wire-cost cache hits vs. analytic cost-model evaluations
     in the fast-path backends (collectives and RMA pricing) — the hit

@@ -63,11 +63,11 @@ class ScenarioSpec:
         return f"<ScenarioSpec {self.name!r}>"
 
 
-def _job(sim: Simulator, n_nodes: int) -> MpiJob:
+def _job(sim: Simulator, n_nodes: int, backend: str = "exact") -> MpiJob:
     cluster = build_cluster(
         sim, ClusterSpec(nodes=n_nodes, gpus_per_node=0)
     )
-    return MpiJob(cluster, list(range(n_nodes)))
+    return MpiJob(cluster, list(range(n_nodes)), backend=backend)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -217,6 +217,65 @@ def _run_split_during_icollective(sim: Simulator) -> None:
 
     job.start(prog)
     job.run()
+
+
+def _fastpath_icollectives(sim: Simulator) -> list:
+    """Repeated-shape nonblocking collectives on the analytic backend:
+    two row-layout iallgathers issued with a skew between them,
+    iallreduce and ibarrier, in flight around blocking allreduces on
+    the communicator (a new shape every repeat, so a plan compiles
+    while hits are pending) and on a split of it.  Checks the data and
+    returns every rank's completion times."""
+    job = _job(sim, 4, backend="analytic")
+    times: list = [[] for _ in range(4)]
+
+    def prog(ctx):
+        r, size = ctx.rank, ctx.size
+        sub = yield from ctx.split(r % 2, key=r)
+        for k in range(3):
+            rows = [np.zeros((size, 4)), np.zeros((size, 4))]
+            g = [ctx.iallgather(np.full(4, float(r + k)), rows[0])]
+            # Skewed: the rank with no delay issues the repeat before the
+            # first instance completes, the others after its plan exists.
+            skew = ((r + k) % size) * 1e-6
+            if skew:
+                yield ctx.sim.timeout(skew)
+            g.append(ctx.iallgather(np.full(4, float(r + k + 10)), rows[1]))
+            acc = np.zeros(8)
+            a = ctx.iallreduce(np.full(8, float(r + 1)), acc)
+            b = ctx.ibarrier()
+            sout = np.zeros(2)
+            yield from sub.allreduce(np.full(2, float(r + k)), sout)
+            out = np.zeros(8 + k)
+            yield from ctx.allreduce(np.full(8 + k, float(k)), out)
+            for req in (b, a, *g):
+                yield from req.wait()
+            for j in range(2):
+                want = np.repeat(np.arange(size) + k + 10.0 * j, 4)
+                _require(bool(np.all(rows[j].reshape(-1) == want)),
+                         f"iallgather {j} rows {rows[j][:, 0]} at repeat {k}")
+            _require(bool(np.all(acc == 10.0)),
+                     f"iallreduce produced {acc[0]}, want 10.0")
+            _require(float(sout[0]) == 2.0 * k + 2.0 + 2.0 * (r % 2),
+                     f"sub allreduce produced {sout[0]} at repeat {k}")
+            _require(bool(np.all(out == 4.0 * k)),
+                     f"allreduce produced {out[0]}, want {4.0 * k}")
+            times[r].append(ctx.sim.now)
+        yield from sub.free()
+
+    job.start(prog)
+    job.run()
+    return times
+
+
+def _run_fastpath_icollectives(sim: Simulator) -> None:
+    """Plan hits must not change nonblocking interleavings: under every
+    explored tie-break the data is exact and each rank completes at
+    the times a plain (fixed tie-break) simulator produces, bit for
+    bit."""
+    want = _fastpath_icollectives(Simulator())
+    times = _fastpath_icollectives(sim)
+    _require(times == want, f"completion times {times} != reference {want}")
 
 
 def _run_free_with_inflight_rput(sim: Simulator) -> None:
@@ -805,6 +864,11 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
             "split-during-icollective",
             _run_split_during_icollective,
             "comm split while a nonblocking allreduce is in flight",
+        ),
+        ScenarioSpec(
+            "fastpath-icollectives",
+            _run_fastpath_icollectives,
+            "analytic plan hits under nonblocking collective interleavings",
         ),
         ScenarioSpec(
             "free-with-inflight-rput",

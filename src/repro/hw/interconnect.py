@@ -15,7 +15,7 @@ MVAPICH2 does for ranks sharing a node.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Union
+from typing import Any, Dict, Generator, Optional, Tuple, Union
 
 from ..sim.core import Event, Simulator
 from .params import IbParams, TopologySpec
@@ -44,6 +44,7 @@ class Interconnect:
         self.sim = sim
         self.params = params
         self.n_nodes = n_nodes
+        self._wire_times: Dict[Tuple[int, int, int], float] = {}
         if topology is None:
             topology = TopologySpec()
         if isinstance(topology, TopologySpec):
@@ -57,8 +58,23 @@ class Interconnect:
             )
 
     def wire_time(self, src: int, dst: int, nbytes: int) -> float:
-        """Uncontended end-to-end transfer time."""
-        return self.topology.wire_time(src, dst, nbytes)
+        """Uncontended end-to-end transfer time.
+
+        A pure function of the fabric, interned per ``(src, dst,
+        nbytes)`` for the analytic pricers (collective plans, one-sided
+        RMA); ``sim.stats.wire_cost_hits`` / ``wire_cost_misses`` count
+        the lookups.
+        """
+        key = (src, dst, nbytes)
+        cost = self._wire_times.get(key)
+        if cost is None:
+            self.sim.stats.wire_cost_misses += 1
+            cost = self._wire_times[key] = self.topology.wire_time(
+                src, dst, nbytes
+            )
+        else:
+            self.sim.stats.wire_cost_hits += 1
+        return cost
 
     def transfer(
         self, src: int, dst: int, nbytes: int

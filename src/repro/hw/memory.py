@@ -36,11 +36,6 @@ def nbytes_of(obj: Union[np.ndarray, "HostBuffer", int]) -> int:
         return obj.nbytes
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
-    # Duck-typed fallback for payload holders defined in higher layers
-    # (e.g. the MPI schedule's adoptable staging buffers).
-    nbytes = getattr(obj, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
     raise TypeError(f"cannot size {type(obj)}")
 
 

@@ -1,7 +1,7 @@
 """Simulated MPI (the MVAPICH2-like baseline library)."""
 
 from .algorithms import (
-    ALGORITHMS,
+    SCHEDULES,
     AlgorithmSelector,
     CollectiveTuning,
     SEED_TUNING,
@@ -29,7 +29,7 @@ from .job import (
 from .status import ANY_SOURCE, ANY_TAG, Status
 
 __all__ = [
-    "ALGORITHMS",
+    "SCHEDULES",
     "AlgorithmSelector",
     "CollectiveTuning",
     "SEED_TUNING",

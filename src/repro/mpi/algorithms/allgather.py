@@ -37,10 +37,10 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..datatypes import AdoptBuf, Payload, payload_array
+from ..datatypes import Payload, payload_array
 from ..errors import MpiError
 from .base import is_pof2, next_tag
-from .schedule import Schedule
+from .schedule import Pack, Ref, Schedule
 
 #: Receive layout: one C-contiguous ``(P, ...)`` array, or P buffers.
 AllgatherRecv = Union[np.ndarray, Sequence[Payload]]
@@ -54,6 +54,20 @@ __all__ = [
 ]
 
 
+def _schedule(sendbuf: Payload, recvbufs: AllgatherRecv):
+    """The schedule over ``(sendbuf, recvbufs)`` — or, for the list
+    layout, ``(sendbuf, *recvbufs)`` — plus a function naming block
+    ``i``'s receive buffer: a row region of the ``(P, ...)`` array, or
+    list slot ``1 + i``."""
+    if isinstance(recvbufs, np.ndarray):
+        sched = Schedule(sendbuf, recvbufs)
+        rows = Ref(1)
+        block = recvbufs.nbytes // len(recvbufs)
+        return sched, lambda i: rows.at(i * block, (i + 1) * block)
+    sched = Schedule(sendbuf, *recvbufs)
+    return sched, lambda i: Ref(1 + i)
+
+
 def build_allgather_ring(
     ctx,
     sendbuf: Payload,
@@ -64,17 +78,10 @@ def build_allgather_ring(
     Buffer-count validation happens once at the dispatch layer
     (``collectives.allgather``).
     """
-    sched = Schedule()
+    sched, recv_of = _schedule(sendbuf, recvbufs)
     tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
-    own = payload_array(recvbufs[rank])
-    mine = payload_array(sendbuf)
-
-    def local_copy():
-        if own is not None and mine is not None:
-            own[...] = mine.reshape(own.shape)
-
-    deps = [sched.compute(local_copy)]
+    deps = [sched.copy(Ref(0), recv_of(rank))]
     if size == 1:
         sched.overhead(after=deps)
         return sched
@@ -83,9 +90,9 @@ def build_allgather_ring(
     for step in range(size - 1):
         send_block = (rank - step) % size
         recv_block = (rank - step - 1) % size
-        s = sched.send(recvbufs[send_block], right, tag + step % 4,
+        s = sched.send(recv_of(send_block), right, tag + step % 4,
                        after=deps, round=step)
-        r = sched.recv(recvbufs[recv_block], left, tag + step % 4,
+        r = sched.recv(recv_of(recv_block), left, tag + step % 4,
                        after=deps, round=step)
         deps = [s, r]
     return sched
@@ -145,66 +152,25 @@ def build_allgather_recursive_doubling(
     size, rank = ctx.size, ctx.rank
     if not is_pof2(size):
         raise MpiError("recursive-doubling allgather needs power-of-two P")
-    sched = Schedule()
+    sched, recv_of = _schedule(sendbuf, recvbufs)
     tag = next_tag(ctx)
-    mine = payload_array(sendbuf)
-    rows = isinstance(recvbufs, np.ndarray)
-    arrays = None if rows else [payload_array(b) for b in recvbufs]
-    own = recvbufs[rank] if rows else arrays[rank]
-
-    def local_copy():
-        if own is not None and mine is not None:
-            own[...] = mine.reshape(own.shape)
-
-    deps = [sched.compute(local_copy)]
+    deps = [sched.copy(Ref(0), recv_of(rank))]
     if size == 1:
         sched.overhead(after=deps)
         return sched
-
+    rows = isinstance(recvbufs, np.ndarray)
     if rows:
-        span = recvbufs.view(np.uint8).reshape(-1)
-        block = span.size // size
-        mask = 1
-        rnd = 0
-        while mask < size:
-            partner = rank ^ mask
-            my_lo = rank & ~(mask - 1)
-            peer_lo = my_lo ^ mask
-            # alias_ok: the sent run is fully assembled (its blocks
-            # arrived in earlier rounds, which are dependencies) and is
-            # never written again — later receives only ever fill the
-            # disjoint peer half.
-            s = sched.send(
-                span[my_lo * block : (my_lo + mask) * block],
-                partner, tag, after=deps, round=rnd, alias_ok=True,
-            )
-            r = sched.recv(
-                span[peer_lo * block : (peer_lo + mask) * block],
-                partner, tag, after=deps, round=rnd,
-            )
-            deps = [s, r]
-            mask <<= 1
-            rnd += 1
-        return sched
+        block = recvbufs.nbytes // size
+    else:
+        arrays = [payload_array(b) for b in recvbufs]
 
-    def pack(lo: int, count: int) -> np.ndarray:
-        views = [
-            a.view(np.uint8).reshape(-1)
-            for a in arrays[lo : lo + count]
-            if a is not None
-        ]
-        if not views:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(views)
-
-    def unpack(buf: np.ndarray, lo: int, count: int) -> None:
-        off = 0
-        for a in arrays[lo : lo + count]:
-            if a is None:
-                continue
-            view = a.view(np.uint8).reshape(-1)
-            view[...] = buf[off : off + view.size]
-            off += view.size
+    def run(lo: int, count: int):
+        """Blocks ``[lo, lo + count)``: a row region, or a pack of the
+        array-backed list buffers."""
+        if rows:
+            return Ref(1, lo * block, (lo + count) * block)
+        return Pack(tuple(Ref(1 + i) for i in range(lo, lo + count)
+                          if arrays[i] is not None))
 
     mask = 1
     rnd = 0
@@ -212,22 +178,26 @@ def build_allgather_recursive_doubling(
         partner = rank ^ mask
         my_lo = rank & ~(mask - 1)
         peer_lo = my_lo ^ mask
-        peer_bytes = sum(
-            a.nbytes for a in arrays[peer_lo : peer_lo + mask] if a is not None
-        )
-        # AdoptBuf staging: the unpack below reads through ``.arr`` at
-        # compute time, so the receive may adopt the in-flight pack.
-        recvpack = AdoptBuf(peer_bytes)
-        # The outgoing pack only exists once earlier rounds unpacked —
-        # resolve it lazily at send time.  donate: pack() returns a
-        # fresh concatenation nothing else ever writes or reads again.
-        s = sched.send(lambda lo=my_lo, c=mask: pack(lo, c), partner, tag,
-                       after=deps, round=rnd, donate=True)
-        r = sched.recv(recvpack, partner, tag, after=deps, round=rnd)
-        deps = [s, sched.compute(
-            lambda b=recvpack, lo=peer_lo, c=mask: unpack(b.arr, lo, c),
-            after=(r,), round=rnd,
-        )]
+        out, into = run(my_lo, mask), run(peer_lo, mask)
+        if rows:
+            # alias_ok: the sent run is fully assembled (its blocks
+            # arrived in earlier rounds, which are dependencies) and is
+            # never written again — later receives only ever fill the
+            # disjoint peer half.
+            s = sched.send(out, partner, tag, after=deps, round=rnd,
+                           alias_ok=True)
+            r = sched.recv(into, partner, tag, after=deps, round=rnd)
+            deps = [s, r]
+        else:
+            # The outgoing pack is built when the send starts, after
+            # earlier rounds unpacked; donate: it is a fresh
+            # concatenation nothing else ever reads.  The staging slot
+            # may adopt the partner's pack before the unpack copy.
+            stage = sched.scratch(sched.nbytes(into), adopt=True)
+            s = sched.send(out, partner, tag, after=deps, round=rnd,
+                           donate=True)
+            r = sched.recv(stage, partner, tag, after=deps, round=rnd)
+            deps = [s, sched.copy(stage, into, after=(r,), round=rnd)]
         mask <<= 1
         rnd += 1
     return sched
@@ -240,13 +210,13 @@ def build_allgather_bruck(
 ) -> Schedule:
     """Bruck allgather (any P, equal blocks): ⌈log2 P⌉ rounds.
 
-    The working rows are kept in rank-rotated order — slot ``i`` holds
-    block ``(rank + i) mod P`` — so every round forwards a contiguous
-    run of leading slots (a zero-copy view) and receives into the next
-    free ones, with no index metadata on the wire, exactly like
-    recursive doubling.  The de-rotation at the end is a local remap
-    into ``recvbufs``: two row-range copies for a ``(P, ...)`` array,
-    one copy per block for a list.
+    The working rows are kept in rank-rotated order — row ``i`` of a
+    scratch slot holds block ``(rank + i) mod P`` — so every round
+    forwards a contiguous run of leading rows (a zero-copy view) and
+    receives into the next free ones, with no index metadata on the
+    wire, exactly like recursive doubling.  The de-rotation at the end
+    is one local copy into ``recvbufs``: two row ranges of a
+    ``(P, ...)`` array, or one block per list buffer.
     """
     size, rank = ctx.size, ctx.rank
     mine = payload_array(sendbuf)
@@ -255,16 +225,17 @@ def build_allgather_bruck(
     block = mine.nbytes
     if isinstance(recvbufs, np.ndarray):
         ok = recvbufs.nbytes == size * block
-        targets = None
     else:
-        targets = [payload_array(b) for b in recvbufs]
-        ok = all(a is not None and a.nbytes == block for a in targets)
+        ok = all(
+            a is not None and a.nbytes == block
+            for a in map(payload_array, recvbufs)
+        )
     if not ok:
         raise MpiError("bruck allgather needs equal-size recv blocks")
-    sched = Schedule()
+    sched, recv_of = _schedule(sendbuf, recvbufs)
     tag = next_tag(ctx)
-    slots = np.empty((size, block), dtype=np.uint8)
-    slots[0] = mine.view(np.uint8).reshape(-1)
+    # Row 0 is this rank's own block, copied in at bind time.
+    work = sched.scratch(size * block, init=Ref(0))
     deps: List[int] = []
     step = 1
     rnd = 0
@@ -275,26 +246,20 @@ def build_allgather_bruck(
         # alias_ok: rows [0, count) arrived in earlier rounds (which are
         # dependencies) and are never written again; this round's
         # receive fills the disjoint rows [step, step + count).
-        s = sched.send(slots[:count], (rank - step) % size, tag + rnd % 2,
-                       after=deps, round=rnd, alias_ok=True)
-        r = sched.recv(slots[step : step + count], (rank + step) % size,
-                       tag + rnd % 2, after=deps, round=rnd)
+        s = sched.send(work.at(0, count * block), (rank - step) % size,
+                       tag + rnd % 2, after=deps, round=rnd, alias_ok=True)
+        r = sched.recv(work.at(step * block, (step + count) * block),
+                       (rank + step) % size, tag + rnd % 2, after=deps,
+                       round=rnd)
         deps = [s, r]
         step <<= 1
         rnd += 1
-
-    # De-rotate: slot i is block (rank + i) mod P.
-    if targets is None:
-        out = recvbufs.view(np.uint8).reshape(size, block)
-
-        def derotate():
-            out[rank:] = slots[: size - rank]
-            out[:rank] = slots[size - rank :]
+    # De-rotate: row i is block (rank + i) mod P.
+    if isinstance(recvbufs, np.ndarray):
+        out = Ref(1)
+        dst = Pack((out.at(rank * block, size * block),
+                    out.at(0, rank * block)))
     else:
-        def derotate():
-            for i in range(size):
-                dest = targets[(rank + i) % size]
-                dest.view(np.uint8).reshape(-1)[...] = slots[i]
-
-    sched.compute(derotate, after=deps)
+        dst = Pack(tuple(recv_of((rank + i) % size) for i in range(size)))
+    sched.copy(work, dst, after=deps)
     return sched

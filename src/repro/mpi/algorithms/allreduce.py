@@ -27,12 +27,10 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from ..datatypes import AdoptBuf, Payload, ReduceOp, payload_array
+from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
-from .base import hier_ok as _hier_ok, largest_pof2, next_tag
-from .schedule import Schedule
+from .base import largest_pof2, next_tag
+from .schedule import Ref, Schedule
 
 __all__ = [
     "build_allreduce_reduce_bcast",
@@ -44,13 +42,14 @@ __all__ = [
 
 
 def _setup(ctx, sendbuf: Payload, recvbuf: Payload):
+    """Validate the buffers; return the send array and the schedule
+    over ``(sendbuf, recvbuf)``."""
     src = payload_array(sendbuf)
-    out = payload_array(recvbuf)
     if src is None:
         raise MpiError("allreduce requires an array payload")
-    if out is None:
+    if payload_array(recvbuf) is None:
         raise MpiError("allreduce requires a recv buffer on every rank")
-    return src, out
+    return src, Schedule(sendbuf, recvbuf)
 
 
 def build_allreduce_reduce_bcast(
@@ -58,34 +57,28 @@ def build_allreduce_reduce_bcast(
     sendbuf: Payload,
     recvbuf: Payload,
     op: ReduceOp = ReduceOp.SUM,
+    bcast_algo: str = "binomial",
 ) -> Schedule:
     """Reduce to rank 0, then broadcast (the seed's fixed algorithm).
 
     Composed from the binomial-reduce and broadcast schedules; the bcast
-    leg is selector-dispatched exactly like a standalone ``bcast`` call
-    (same counters, same tag sequence), so timings match the old
-    generator composition byte for byte.
+    leg runs ``bcast_algo``, which the dispatch layer selects (and
+    counts) exactly like a standalone ``bcast`` call, so timings match
+    the old generator composition byte for byte.
     """
-    from ...hw.memory import nbytes_of
     from .bcast import append_bcast
     from .reduce import append_reduce_binomial
 
-    _setup(ctx, sendbuf, recvbuf)
-    sched = Schedule()
-    ctx.comm._count("reduce")
+    _, sched = _setup(ctx, sendbuf, recvbuf)
+    send, recv = Ref(0), Ref(1)
     ends = append_reduce_binomial(
-        sched, ctx, sendbuf,
-        recvbuf if ctx.rank == 0 else None,
+        sched, ctx, send, recv if ctx.rank == 0 else None,
         op=op, root=0, after=(),
     )
-    ctx.comm._count("bcast")
-    nbytes = nbytes_of(recvbuf) if recvbuf is not None else 0
-    algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
-    ctx.comm._count(f"bcast[{algo}]")
     # The bcast leg's rounds start past the reduce leg's on EVERY rank:
     # the offset is the binomial tree's global depth, not this rank's
     # own round count (a leaf's reduce part is a single round).
-    append_bcast(algo, sched, ctx, recvbuf, root=0, after=ends,
+    append_bcast(bcast_algo, sched, ctx, recv, root=0, after=ends,
                  round0=(ctx.size - 1).bit_length())
     return sched
 
@@ -100,18 +93,17 @@ def build_allreduce_recursive_doubling(
 
     Non-power-of-two sizes use the standard fold: the first 2·rem ranks
     pair up (even sends to odd) so ``pof2`` ranks run the doubling
-    rounds, then the even partners receive the final result back.
+    rounds, then the even partners receive the final result back.  The
+    accumulator slot is rebound by every combine, never written in
+    place.
     """
-    src, out = _setup(ctx, sendbuf, recvbuf)
+    src, sched = _setup(ctx, sendbuf, recvbuf)
     size, rank = ctx.size, ctx.rank
-    sched = Schedule()
-    st = {"acc": src.copy()}
+    out = Ref(1)
+    acc = sched.scratch(src.size, src.dtype, init=Ref(0))
     if size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., st["acc"].reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.copy(acc, out, after=(sched.last,))
         return sched
     tag = next_tag(ctx)
     pof2 = largest_pof2(size)
@@ -124,17 +116,12 @@ def build_allreduce_recursive_doubling(
             # donate: acc is rebound, never mutated, and the fold-out
             # recv that overwrites it is causally behind the partner's
             # fold-in, which is the last read of the donated array.
-            deps = [sched.send(lambda: st["acc"], rank + 1, tag + 4,
-                               donate=True)]
+            deps = [sched.send(acc, rank + 1, tag + 4, donate=True)]
             newrank = -1
         else:
-            tmp0 = AdoptBuf(st["acc"])
+            tmp0 = sched.scratch(src.size, src.dtype, adopt=True)
             r = sched.recv(tmp0, rank - 1, tag + 4)
-
-            def fold_in(tmp0=tmp0):
-                st["acc"] = op.combine(tmp0.arr, st["acc"])
-
-            deps = [sched.compute(fold_in, after=(r,))]
+            deps = [sched.reduce(op, tmp0, acc, into=acc, after=(r,))]
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -147,22 +134,16 @@ def build_allreduce_recursive_doubling(
                 partner_new * 2 + 1 if partner_new < rem
                 else partner_new + rem
             )
-            tmp = AdoptBuf(st["acc"])
+            tmp = sched.scratch(src.size, src.dtype, adopt=True)
             # donate: acc is rebound (never mutated), so the in-flight
             # array can never observe a later write — the partner may
             # adopt it as its combine input.
-            s = sched.send(lambda: st["acc"], partner, tag,
-                           after=deps, round=rnd, donate=True)
+            s = sched.send(acc, partner, tag, after=deps, round=rnd,
+                           donate=True)
             r = sched.recv(tmp, partner, tag, after=deps, round=rnd)
-
-            def combine(tmp=tmp, partner=partner):
-                st["acc"] = (
-                    op.combine(tmp.arr, st["acc"])
-                    if partner < rank
-                    else op.combine(st["acc"], tmp.arr)
-                )
-
-            deps = [sched.compute(combine, after=(s, r), round=rnd)]
+            a, b = (tmp, acc) if partner < rank else (acc, tmp)
+            deps = [sched.reduce(op, a, b, into=acc, after=(s, r),
+                                 round=rnd)]
             mask <<= 1
     # Fold-out (tag offset 5): odd partners hand the result back.
     if rank < 2 * rem:
@@ -170,26 +151,24 @@ def build_allreduce_recursive_doubling(
         if rank % 2 == 1:
             # alias_ok (not donate): acc holds this rank's final result
             # and is still read by the trailing out-copy below.
-            deps = [sched.send(lambda: st["acc"], rank - 1, tag + 5,
-                               after=deps, round=rnd, alias_ok=True)]
+            deps = [sched.send(acc, rank - 1, tag + 5, after=deps,
+                               round=rnd, alias_ok=True)]
         else:
-            deps = [sched.recv(lambda: st["acc"], rank + 1, tag + 5,
-                               after=deps, round=rnd)]
-    sched.compute(
-        lambda: out.__setitem__(..., st["acc"].reshape(out.shape)),
-        after=deps,
-    )
+            deps = [sched.recv(acc, rank + 1, tag + 5, after=deps,
+                               round=rnd)]
+    sched.copy(acc, out, after=deps)
     return sched
 
 
-def _ring_chunker(acc: np.ndarray, size: int):
-    """Chunk accessor for a ring over ``size`` pieces of ``acc``."""
-    n = acc.size
-    bounds: List[int] = [(c * n) // size for c in range(size + 1)]
+def _ring_chunks(acc: Ref, count: int, itemsize: int, size: int):
+    """Chunk accessor for a ring over ``size`` pieces of the flat
+    ``count``-element slot ``acc``."""
+    bounds: List[int] = [(c * count) // size * itemsize
+                         for c in range(size + 1)]
 
-    def chunk(c: int) -> np.ndarray:
+    def chunk(c: int) -> Ref:
         c %= size
-        return acc[bounds[c] : bounds[c + 1]]
+        return acc.at(bounds[c], bounds[c + 1])
 
     return chunk
 
@@ -197,7 +176,9 @@ def _ring_chunker(acc: np.ndarray, size: int):
 def append_ring_reduce_scatter(
     sched,
     ctx,
-    acc: np.ndarray,
+    acc: Ref,
+    count: int,
+    dtype,
     op: ReduceOp,
     tag: int,
     after=(),
@@ -205,43 +186,43 @@ def append_ring_reduce_scatter(
 ) -> List[int]:
     """Ring reduce-scatter over ``ctx``'s communicator (tag offsets
     0..3): after P−1 steps rank *r* owns the fully combined chunk
-    ``(r+1) mod P`` of the flat ``acc``.
+    ``(r+1) mod P`` of ``acc`` (``count`` elements of ``dtype``).
 
     Shared by the flat ring allreduce and — through a
     :class:`~repro.mpi.algorithms.schedule.SubSchedule` bound to an
     intra-domain or peer communicator — the hierarchical composition.
-    No defensive copies on the sends: ``_send_impl`` snapshots at send
-    time and each step only writes the (disjoint) received chunk.
+    No defensive copies on the sends: each step only writes the
+    (disjoint) received chunk.
     """
     size, rank = ctx.size, ctx.rank
-    chunk = _ring_chunker(acc, size)
+    isz = dtype.itemsize
+    chunk = _ring_chunks(acc, count, isz, size)
     right = (rank + 1) % size
     left = (rank - 1) % size
     deps = list(after)
     for step in range(size - 1):
-        send_c = chunk(rank - step)
         recv_c = chunk(rank - step - 1)
-        tmp = AdoptBuf(recv_c)
+        tmp = sched.scratch((recv_c.hi - recv_c.lo) // isz, dtype,
+                            adopt=True)
         rnd = round0 + step
         # donate: acc is collective-private and the sent chunk is next
         # written only in the allgather phase, which is causally behind
         # the right neighbor's combine — the last read of the adopted
         # chunk view.
-        s = sched.send(send_c, right, tag + step % 4, after=deps, round=rnd,
-                       donate=True)
+        s = sched.send(chunk(rank - step), right, tag + step % 4,
+                       after=deps, round=rnd, donate=True)
         r = sched.recv(tmp, left, tag + step % 4, after=deps, round=rnd)
-
-        def combine(tmp=tmp, recv_c=recv_c):
-            recv_c[...] = op.combine(tmp.arr, recv_c)
-
-        deps = [sched.compute(combine, after=(s, r), round=rnd)]
+        deps = [sched.combine(op, tmp, recv_c, recv_c, after=(s, r),
+                              round=rnd)]
     return deps
 
 
 def append_ring_allgather(
     sched,
     ctx,
-    acc: np.ndarray,
+    acc: Ref,
+    count: int,
+    itemsize: int,
     tag: int,
     after=(),
     round0: int = 0,
@@ -250,7 +231,7 @@ def append_ring_allgather(
     offsets 0..3): circulates from each rank's owned chunk
     ``(r+1) mod P`` until every rank holds all of ``acc``."""
     size, rank = ctx.size, ctx.rank
-    chunk = _ring_chunker(acc, size)
+    chunk = _ring_chunks(acc, count, itemsize, size)
     right = (rank + 1) % size
     left = (rank - 1) % size
     deps = list(after)
@@ -277,25 +258,20 @@ def build_allreduce_ring(
     Works for any P (including non-powers of two) and any element count
     (trailing chunks may be empty when count < P).
     """
-    src, out = _setup(ctx, sendbuf, recvbuf)
+    src, sched = _setup(ctx, sendbuf, recvbuf)
     size = ctx.size
-    sched = Schedule()
-    acc = src.copy().reshape(-1)
+    out = Ref(1)
+    acc = sched.scratch(src.size, src.dtype, init=Ref(0))
     if size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.copy(acc, out, after=(sched.last,))
         return sched
     tag = next_tag(ctx)
-    deps = append_ring_reduce_scatter(sched, ctx, acc, op, tag)
+    deps = append_ring_reduce_scatter(sched, ctx, acc, src.size, src.dtype,
+                                      op, tag)
     deps = append_ring_allgather(
-        sched, ctx, acc, tag + 4, after=deps, round0=size - 1
+        sched, ctx, acc, src.size, src.itemsize, tag + 4, after=deps,
+        round0=size - 1,
     )
-    sched.compute(
-        lambda: out.__setitem__(..., acc.reshape(out.shape)),
-        after=deps,
-    )
+    sched.copy(acc, out, after=deps)
     return sched
-

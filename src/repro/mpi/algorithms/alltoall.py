@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
-from ..datatypes import AdoptBuf, Payload, payload_array
+from ..datatypes import Payload, payload_array
 from ..errors import MpiError
 from .base import is_pof2, next_tag
-from .schedule import Schedule
+from .schedule import Pack, Ref, Schedule
 
 __all__ = [
     "build_alltoall_shift",
@@ -36,16 +34,16 @@ __all__ = [
 ]
 
 
-def _local_copy_step(sched, ctx, sendbufs, recvbufs) -> List[int]:
-    # Buffer counts were validated by the dispatch layer.
-    own = payload_array(recvbufs[ctx.rank])
-    mine = payload_array(sendbufs[ctx.rank])
-
-    def local_copy():
-        if own is not None and mine is not None:
-            own[...] = mine.reshape(own.shape)
-
-    return [sched.compute(local_copy)]
+def _schedule(ctx, sendbufs, recvbufs):
+    """The schedule over ``(*sendbufs, *recvbufs)``, the send and
+    receive slot lists, and the local-copy step (buffer counts were
+    validated by the dispatch layer)."""
+    size = ctx.size
+    sched = Schedule(*sendbufs, *recvbufs)
+    send = [Ref(i) for i in range(size)]
+    recv = [Ref(size + i) for i in range(size)]
+    deps = [sched.copy(send[ctx.rank], recv[ctx.rank])]
+    return sched, send, recv, deps
 
 
 def build_alltoall_shift(
@@ -54,8 +52,7 @@ def build_alltoall_shift(
     recvbufs: Sequence[Payload],
 ) -> Schedule:
     """Shift-schedule all-to-all (the seed algorithm)."""
-    sched = Schedule()
-    deps = _local_copy_step(sched, ctx, sendbufs, recvbufs)
+    sched, send, recv, deps = _schedule(ctx, sendbufs, recvbufs)
     tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
     if size == 1:
@@ -64,8 +61,8 @@ def build_alltoall_shift(
     for k in range(1, size):
         dst = (rank + k) % size
         src = (rank - k) % size
-        s = sched.send(sendbufs[dst], dst, tag, after=deps, round=k - 1)
-        r = sched.recv(recvbufs[src], src, tag, after=deps, round=k - 1)
+        s = sched.send(send[dst], dst, tag, after=deps, round=k - 1)
+        r = sched.recv(recv[src], src, tag, after=deps, round=k - 1)
         deps = [s, r]
     return sched
 
@@ -77,20 +74,18 @@ def build_alltoall_pairwise(
 ) -> Schedule:
     """Pairwise (XOR-partner) exchange; requires power-of-two P."""
     size, rank = ctx.size, ctx.rank
-    # Validate before mutating any user buffer.
     if not is_pof2(size):
         raise MpiError("pairwise alltoall needs power-of-two P")
-    sched = Schedule()
-    deps = _local_copy_step(sched, ctx, sendbufs, recvbufs)
+    sched, send, recv, deps = _schedule(ctx, sendbufs, recvbufs)
     tag = next_tag(ctx)
     if size == 1:
         sched.overhead(after=deps)
         return sched
     for k in range(1, size):
         partner = rank ^ k
-        s = sched.send(sendbufs[partner], partner, tag, after=deps,
+        s = sched.send(send[partner], partner, tag, after=deps,
                        round=k - 1)
-        r = sched.recv(recvbufs[partner], partner, tag, after=deps,
+        r = sched.recv(recv[partner], partner, tag, after=deps,
                        round=k - 1)
         deps = [s, r]
     return sched
@@ -103,12 +98,13 @@ def build_alltoall_bruck(
 ) -> Schedule:
     """Bruck alltoall (any P, equal blocks): ⌈log2 P⌉ packed rounds.
 
-    Slot invariant: after the initial rotation, slot ``i`` holds the
-    block this rank must deliver to ``rank+i``; a block at slot ``i``
-    travels +2^k in exactly the rounds where bit k of ``i`` is set, so
-    every rank exchanges the same slot set each round and no index
-    metadata crosses the wire.  The final remap stores slot ``i`` as
-    the block received *from* ``rank−i``.
+    Row invariant: after the initial rotation, work row ``i`` holds
+    the block this rank must deliver to ``rank+i``; a block at row
+    ``i`` travels +2^k in exactly the rounds where bit k of ``i`` is
+    set, so every rank exchanges the same row set each round and no
+    index metadata crosses the wire.  Each round unpacks the received
+    pack into the moved rows; the final remap stores row ``i`` as the
+    block received *from* ``rank−i``.
     """
     size, rank = ctx.size, ctx.rank
     mine_arrays = [payload_array(b) for b in sendbufs]
@@ -122,54 +118,35 @@ def build_alltoall_bruck(
         a.nbytes != block for a in out_arrays
     ):
         raise MpiError("bruck alltoall needs equal-size blocks")
-    sched = Schedule()
+    sched = Schedule(*sendbufs, *recvbufs)
     tag = next_tag(ctx)
-    # Local rotation: slot i ← block destined to (rank + i) mod P.
-    slots: List[np.ndarray] = [
-        mine_arrays[(rank + i) % size].view(np.uint8).reshape(-1).copy()
-        for i in range(size)
-    ]
+    # Local rotation, at bind time: row i of the work slot is the block
+    # for (rank + i) mod P.
+    work = sched.scratch(size * block, init=Pack(tuple(
+        Ref((rank + i) % size) for i in range(size)
+    )))
+    row = [work.at(i * block, (i + 1) * block) for i in range(size)]
+    # Row i ends at this rank carrying the block from rank−i.
+    result = Pack(tuple(Ref(size + (rank - i) % size) for i in range(size)))
     if size == 1:
-        own = out_arrays[0]
-        sched.compute(
-            lambda: own.view(np.uint8).reshape(-1).__setitem__(
-                slice(None), slots[0]
-            )
-        )
+        sched.copy(work, result)
         sched.overhead(after=(sched.last,))
         return sched
     deps: List[int] = []
     step = 1
     rnd = 0
     while step < size:
-        idxs = [i for i in range(size) if i & step]
+        moved = Pack(tuple(row[i] for i in range(size) if i & step))
         dst = (rank + step) % size
         src = (rank - step) % size
-        recvpack = AdoptBuf(len(idxs) * block)
-        # donate: the payload is a fresh concatenation of the slots
-        # (np.concatenate copies even for a single input), which the
-        # sender never touches again.
-        s = sched.send(
-            lambda idxs=idxs: np.concatenate([slots[i] for i in idxs]),
-            dst, tag + rnd % 2, after=deps, round=rnd, donate=True,
-        )
-        r = sched.recv(recvpack, src, tag + rnd % 2, after=deps, round=rnd)
-
-        def unpack(buf=recvpack, idxs=idxs):
-            arr = buf.arr
-            for j, i in enumerate(idxs):
-                slots[i] = arr[j * block : (j + 1) * block]
-
-        deps = [s, sched.compute(unpack, after=(r,), round=rnd)]
+        stage = sched.scratch(len(moved.parts) * block, adopt=True)
+        # donate: the payload is a fresh concatenation of the rows,
+        # which the sender never touches again.
+        s = sched.send(moved, dst, tag + rnd % 2, after=deps, round=rnd,
+                       donate=True)
+        r = sched.recv(stage, src, tag + rnd % 2, after=deps, round=rnd)
+        deps = [s, sched.copy(stage, moved, after=(r,), round=rnd)]
         step <<= 1
         rnd += 1
-
-    def deliver():
-        # Slot i ended at this rank carrying the block from rank−i.
-        for i in range(size):
-            dest = out_arrays[(rank - i) % size]
-            dest.view(np.uint8).reshape(-1)[...] = slots[i]
-
-    sched.compute(deliver, after=deps)
+    sched.copy(work, result, after=deps)
     return sched
-

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...hw.params import IbParams
 from ...sim.core import us
+from ..datatypes import HEADER_BYTES
 from .base import largest_pof2
 from .tuning import CollectiveTuning
 
@@ -51,11 +52,6 @@ __all__ = [
     "cost_reduce",
     "cost_rma_put",
 ]
-
-#: Size of protocol headers on the wire — must match
-#: ``repro.mpi.communicator.HEADER_BYTES`` (imported lazily there to
-#: avoid a package cycle; guarded by a test).
-HEADER_BYTES = 64
 
 #: Derivation cache: (FabricProfile, IbParams) → CollectiveTuning.
 _CACHE: Dict[Tuple, CollectiveTuning] = {}

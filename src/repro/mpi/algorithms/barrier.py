@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import List
 
 from .base import next_tag
-from .schedule import Schedule, blocking
+from .schedule import Schedule
 
-__all__ = ["barrier_dissemination", "build_barrier_dissemination"]
+__all__ = ["build_barrier_dissemination"]
 
 
 def build_barrier_dissemination(ctx) -> Schedule:
@@ -37,5 +37,3 @@ def build_barrier_dissemination(ctx) -> Schedule:
         rnd += 1
     return sched
 
-
-barrier_dissemination = blocking(build_barrier_dissemination)

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ..datatypes import Payload
+from ..datatypes import Payload, payload_array
 from ..errors import MpiError
 from .base import next_tag
-from .schedule import Schedule
+from .schedule import Ref, Schedule
 
 __all__ = [
     "build_bcast_binomial",
@@ -42,7 +42,7 @@ __all__ = [
 def _append_binomial(
     sched: Schedule,
     ctx,
-    buf: Payload,
+    buf: Ref,
     members: Sequence[int],
     root: int,
     tag: int,
@@ -99,13 +99,13 @@ def build_bcast_binomial(
     ctx, buf: Payload, root: int = 0, after: Sequence[int] = ()
 ) -> Schedule:
     """Binomial-tree broadcast of ``buf`` (in place for non-roots)."""
-    sched = Schedule()
-    append_bcast_binomial(sched, ctx, buf, root=root, after=after)
+    sched = Schedule(buf)
+    append_bcast_binomial(sched, ctx, Ref(0), root=root, after=after)
     return sched
 
 
 def append_bcast_binomial(
-    sched: Schedule, ctx, buf: Payload, root: int = 0,
+    sched: Schedule, ctx, buf: Ref, root: int = 0,
     after: Sequence[int] = (), round0: int = 0,
 ) -> List[int]:
     tag = next_tag(ctx)
@@ -121,13 +121,14 @@ def build_bcast_hierarchical(
     ctx, buf: Payload, root: int = 0, after: Sequence[int] = ()
 ) -> Schedule:
     """Domain-leader broadcast: root → leaders → domain members."""
-    sched = Schedule()
-    append_bcast_hierarchical(sched, ctx, buf, root=root, after=after)
+    sched = Schedule(buf)
+    append_bcast_hierarchical(sched, ctx, Ref(0), root=root,
+                              after=after)
     return sched
 
 
 def append_bcast_hierarchical(
-    sched: Schedule, ctx, buf: Payload, root: int = 0,
+    sched: Schedule, ctx, buf: Ref, root: int = 0,
     after: Sequence[int] = (), round0: int = 0,
 ) -> List[int]:
     """Requires the communicator to expose locality groups (every rank in
@@ -194,28 +195,25 @@ def build_bcast_pipelined(
     s−1 to its successor.  Segment count defaults to the analytic
     optimum for the communicator's fabric parameters.
     """
-    sched = Schedule()
-    append_bcast_pipelined(sched, ctx, buf, root=root, after=after,
-                           segments=segments)
+    sched = Schedule(buf)
+    append_bcast_pipelined(sched, ctx, Ref(0), root=root,
+                           after=after, segments=segments)
     return sched
 
 
 def append_bcast_pipelined(
-    sched: Schedule, ctx, buf: Payload, root: int = 0,
+    sched: Schedule, ctx, buf: Ref, root: int = 0,
     after: Sequence[int] = (), segments: Optional[int] = None,
     round0: int = 0,
 ) -> List[int]:
-    from ..datatypes import payload_array
-
+    """``buf`` must be a user slot holding an array."""
     tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
     if size == 1:
         return [sched.overhead(after=after)]
-    arr = payload_array(buf)
-    if arr is None:
+    if payload_array(sched.user[buf.slot]) is None:
         raise MpiError("pipelined bcast requires an array payload")
-    flat = arr.view("u1").reshape(-1)
-    n = flat.size
+    n = sched.nbytes(buf)
     S = segments if segments is not None else best_pipeline_segments(
         n, size, ctx.comm._ib
     )
@@ -229,7 +227,7 @@ def append_bcast_pipelined(
     last_send: List[int] = list(after)
     ends: List[int] = []
     for s in range(S):
-        seg = flat[bounds[s] : bounds[s + 1]]
+        seg = buf.at(bounds[s], bounds[s + 1])
         if pos > 0:
             # Receive segment s from the predecessor; chained so the
             # wire keeps FIFO order on the single (src, tag) pair.
@@ -251,7 +249,7 @@ def append_bcast_pipelined(
 
 
 #: Builder registry for splicing a broadcast behind another schedule
-#: (reduce+bcast) — mirrors ``ALGORITHMS["bcast"]``.
+#: (reduce+bcast) — mirrors ``SCHEDULES["bcast"]``.
 _APPENDERS = {
     "binomial": append_bcast_binomial,
     "hierarchical": append_bcast_hierarchical,
@@ -260,7 +258,7 @@ _APPENDERS = {
 
 
 def append_bcast(
-    algo: str, sched: Schedule, ctx, buf: Payload, root: int = 0,
+    algo: str, sched: Schedule, ctx, buf: Ref, root: int = 0,
     after: Sequence[int] = (), round0: int = 0,
 ) -> List[int]:
     """Append the named broadcast schedule behind ``after``.

@@ -8,9 +8,10 @@ schedules (same builders, same selector decisions, same tag claims, same
 ``comm.stats`` counters) without enqueueing a single packet:
 
 1. **Collect** — every rank's ``execute`` deposits its per-rank schedule
-   into a shared per-collective *instance*; the last-arriving rank
-   triggers completion (collectives are synchronizing, so nothing can
-   legally complete before the last rank shows up).  Each rank's issue
+   (on a plan hit, only its bound buffers) into a shared per-collective
+   *instance*; the last-arriving rank triggers completion (collectives
+   are synchronizing, so nothing can legally complete before the last
+   rank shows up).  Each rank's issue
    time is recorded at deposit, so skewed arrivals propagate into the
    timing exactly as they do in the exact engine.
 2. **Move data** — the plan's *data program* (below) lands every
@@ -25,10 +26,10 @@ schedules (same builders, same selector decisions, same tag claims, same
    eager (``sw`` + one wire trip, receive finishing at
    ``max(recv_ready + sw, send_finish)``) or rendezvous (RTS → CTS →
    payload, both sides finishing together).  Per-message wire times are
-   interned in a ``(src_node, dst_node, nbytes)`` cache.  Because the
-   model follows dependencies, not round labels, transfers in different
-   rounds overlap exactly as the spawned wire processes of the exact
-   engine do — non-power-of-two binomial trees, whose straggler
+   interned by the interconnect.  Because the model follows
+   dependencies, not round labels, transfers in different rounds
+   overlap exactly as the spawned wire processes of the exact engine
+   do — non-power-of-two binomial trees, whose straggler
    subtrees fire early, price tight instead of paying a per-round
    barrier.  What the model still ignores is channel *contention*
    (concurrent transfers sharing a NIC or spine link serialize in the
@@ -49,55 +50,44 @@ compiling one included — is then priced by :meth:`_Plan.evaluate`, one
 straight-line pass over the plan that does the same float operations,
 in the same order, as the walk it was compiled from.  Times are
 therefore bit-identical whether a plan is fresh or reused, at any
-arrival skew, traced or not.  A data-free shape whose plan exists is
-never even built (``execute_deferred``).
+arrival skew, traced or not.
+
+**Hits never build.**  The dispatch layer hands every collective over
+as ``(build, shape, bufs)``.  The first rank to issue an instance
+decides hit or miss for all ranks, so every rank builds (and claims its
+tags) or none does.  A hit calls no builder: each rank binds its user
+buffers ``bufs`` to the plan's slots, with fresh scratch arrays from
+the plan's declarations, at issue (the build-time copy of a send
+buffer is taken there).  A rank whose buffers' byte sizes disagree with
+the plan's raises :class:`~repro.mpi.errors.MpiError`, as does a hit
+whose ranks deposit different keys — the key missed an input.
 
 **The data program.**  The compiling walk moves the compiling
 instance's data as it resolves each step, and records what it did as a
-straight-line list of operations: resolve a wire step's buffer, run a
-compute, snapshot a send whose receive is not yet posted, deliver a
-send into its posted receive, deliver a snapshot into its receive.
-Delivery goes through ``Communicator._deliver``, so a private payload
-is adopted by an :class:`~repro.mpi.datatypes.AdoptBuf` receive exactly
-as the matcher would.  A data-carrying hit still builds its DAGs (the
-closures are per instance) and replays the program over them
-(:meth:`_Plan.replay`); pairing comes from the plan's per-slot
-``pair`` list.  Times do not depend on the walk's order — each slot's
-float expression is fixed — but data does: a lazy send buffer reads
-state a later compute rewrites (Bruck alltoall packs its round-k+1
-send from the slots its own round-k+1 unpack overwrites).  So the walk
-mirrors the exact engine:
+straight-line list of slot-addressed operations: resolve a wire step's
+buffer in its rank's environment, run a compute op, snapshot a send
+whose receive is not yet posted, deliver a send into its posted
+receive, deliver a snapshot into its receive.  Delivery goes through
+``Communicator._deliver``, so a private payload is adopted by an
+adoptable scratch slot exactly as the matcher would.  A data-carrying
+hit replays the program over its bound environments
+(:meth:`_Plan.replay`).  Times do not depend on the walk's order, but
+data does: a pack is concatenated, and a rebound slot read, when its
+send resolves, and a later compute may rewrite them (Bruck alltoall
+packs its round-k+1 send from rows its round-k+1 unpack overwrites).
+So, as each rank's exact engine does, the walk runs every compute a
+resolution releases, transitively and lowest slot first, before it
+resolves the buffers of the wire steps released; it takes wire steps
+FIFO, posted receives first, so a send almost always delivers straight
+into its receive without a snapshot.
 
-* after each resolution it runs every compute that resolution
-  releases, transitively, lowest slot first (each rank's engine pops
-  its ready heap the same way);
-* only then does it resolve the buffers of the wire steps released —
-  a spawned wire process reads its buffer only after its rank's
-  inline computes;
-* it takes wire steps FIFO, posted receives before sends, so a send
-  almost always finds its receive posted and delivers straight into
-  it with no snapshot (a LIFO walk moves the same data but copies).
-
-The key is the ``shape`` tuple the dispatch layer stamps on each
-schedule (``collectives._with_meta``): op, algorithm, root, and the
-signature of every buffer that sizes a wire step — dtype and array
-shape, or per-block byte counts for the vector variants.  It must
-determine every rank's DAG and message sizes, and it must be equal on
-every rank: an instance whose ranks deposit different shapes (a
-ragged alltoall) is compiled and priced but not kept, as is one whose
-schedules carry no shape (a builder called directly).  A hit whose
-per-rank step counts disagree with the plan raises
-:class:`~repro.mpi.errors.MpiError`, so a key that misses a structural
-input fails loudly instead of pricing the wrong DAG.
-
-The saving needs repeated shapes.  Measured on one episode of the
-repository benchmark (``perfbench``): ``serve-analytic`` repeats 504 of
-its 520 collectives (every tile request of a service is the same
-allgather), ``rma-analytic`` 6 of 8 (one window-registration allgather
-and one barrier compile; the fences repeat), and the ``coll-exact``
-analytic reference only 3 of 20 — its four barriers share a shape,
-while every other call differs in op, size or root and pays a full
-compile.
+The key is the ``shape`` tuple of ``collectives._call``: op,
+algorithm, root, reduce op, and the signature of every buffer that
+sizes a wire step.  It must be equal on every rank: an instance whose
+ranks issue different keys (a ragged alltoall) is compiled and priced
+but not kept, as is one with no key (a prebuilt schedule).  The saving
+needs repeated shapes: ``serve-analytic`` (``perfbench``) repeats 504
+of its 520 collectives, ``rma-analytic`` 6 of 8.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...),
 ``gather``/``scatter`` (linear, not schedule-based), and host-memory
@@ -106,9 +96,9 @@ schedule-compiled collectives take *this* one.  Selection thresholds,
 being driven by the same tuning, match the exact backend exactly.
 
 **Pricing-only mode** (``backend="pricing"``): the same walk with no
-data program — computes never run and receive buffers are left
-untouched; each pair is priced with the larger of its two statically
-resolved buffer sizes, so simulated times stay bit-identical to
+data program and no bound buffers — computes never run and receive
+buffers are left untouched.  Message sizes are static (a region's, a
+slot's declared size), so simulated times stay bit-identical to
 ``analytic``.  This is the sweep mode: a 1024-rank collective costs
 one pass over its plan, which is what makes the ``BENCH_scale.json``
 sweeps interactive.  Never use it when the program consumes the data
@@ -122,12 +112,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ...hw.memory import nbytes_of
 from ...sim.batch import EventBatch
 from ...sim.core import Event, us
-from ..datatypes import payload_array
+from ..datatypes import HEADER_BYTES, payload_array
 from ..errors import MpiError
-from .schedule import ScheduleEngine, Schedule, _Step, _round_name
+from .schedule import (
+    Schedule, ScheduleEngine, _Step, _round_name, new_environment, resolve,
+    run_op, span_name,
+)
 
 __all__ = ["FastPathEngine"]
 
@@ -146,8 +138,8 @@ _K_ERECV = 4     # eager receive: fin = max(ready + sw, send fin)
 _K_RNDV = 5      # second-ready side of a rendezvous pair: both finish
 
 # Data program operations (see _data_mover).
-_D_RESOLVE = 0  # resolve a wire step's (possibly lazy) buffer
-_D_COMPUTE = 1  # run a compute step
+_D_RESOLVE = 0  # resolve a wire step's buffer in its rank's environment
+_D_COMPUTE = 1  # run a compute op
 _D_SNAP = 2     # snapshot a send whose receive is not yet posted
 _D_DIRECT = 3   # deliver a send into its posted receive
 _D_TAKE = 4     # deliver a send's snapshot into its receive
@@ -156,29 +148,44 @@ _D_TAKE = 4     # deliver a send's snapshot into its receive
 _UNSET = object()
 
 
+def _sizes(bufs) -> Tuple:
+    """User buffers' byte sizes (``None`` and byte counts as given):
+    what a plan's slots were compiled for."""
+    return tuple([
+        b if a is None else a.nbytes
+        for b, a in zip(bufs, map(payload_array, bufs))
+    ])
+
+
 class _Instance:
-    """One collective call site: per-rank schedules awaiting the last
-    arrival."""
+    """One collective call site: per-rank schedules (or, on a plan hit,
+    bound environments) awaiting the last arrival."""
 
     __slots__ = (
-        "ctxs", "scheds", "dones", "arrivals", "arrived", "shape", "build",
+        "ctxs", "scheds", "envs", "dones", "arrivals", "arrived", "shape",
+        "label", "nbytes", "plan",
     )
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, plan: Optional["_Plan"] = None) -> None:
         self.ctxs: List[Any] = [None] * size
         self.scheds: List[Optional[Schedule]] = [None] * size
+        #: Per rank, its bound slots (``None`` when no data moves).
+        self.envs: List[Optional[List[Any]]] = [None] * size
         self.dones: List[Optional[Event]] = [None] * size
         self.arrivals: List[float] = [0.0] * size
         self.arrived = 0
         #: The plan key every rank deposited, or ``None`` when they
         #: disagree (or carry none): such an instance is never interned.
         self.shape: Any = _UNSET
-        #: Set by ``execute_deferred``: the per-rank DAG builder, run
-        #: only when the shape has no plan yet (or its plan moves data).
-        self.build: Optional[Callable] = None
+        #: The first deposited key and payload size (span labels).
+        self.label: Optional[Tuple] = None
+        self.nbytes = 0
+        #: The plan this instance hits, fixed by its first issuing rank.
+        self.plan = plan
 
     def deposit(self, rank: int, ctx, sched: Optional[Schedule],
-                done: Event, shape: Optional[Tuple] = None) -> None:
+                done: Event, shape: Optional[Tuple] = None,
+                env: Optional[List[Any]] = None, nbytes: int = 0) -> None:
         if self.dones[rank] is not None or self.scheds[rank] is not None:
             raise MpiError(
                 f"rank {rank} deposited twice into one collective "
@@ -186,20 +193,22 @@ class _Instance:
             )
         self.ctxs[rank] = ctx
         self.scheds[rank] = sched
+        self.envs[rank] = env
         self.dones[rank] = done
         if ctx is not None:
             self.arrivals[rank] = ctx.sim.now
         if self.arrived == 0:
-            self.shape = shape
+            self.shape = self.label = shape
+            self.nbytes = nbytes
         elif shape != self.shape:
             self.shape = None
         self.arrived += 1
 
 
-def _data_mover(flat: List[_Step], pair: List[int], stats):
+def _data_mover(flat: List[_Step], rank_of: List[int],
+                envs: List[Optional[List[Any]]], pair: List[int], stats):
     """An executor of data-program operations over one instance's
-    steps (``flat``, by slot); returned with its per-slot resolved
-    buffers, which the compiling walk sizes wire steps from."""
+    steps (``flat``, by slot) and per-rank environments ``envs``."""
     from ..communicator import Communicator
 
     deliver = Communicator._deliver
@@ -208,11 +217,20 @@ def _data_mover(flat: List[_Step], pair: List[int], stats):
     #: not yet posted.
     held: List[Any] = [None] * len(flat)
 
+    def land(g: int, data, private: bool) -> None:
+        # Into receive slot g; an adoptable scratch slot may rebind.
+        st = flat[g]
+        if st.adopt:
+            deliver(bufs[g], data, private, stats, envs[rank_of[g]],
+                    st.buf.slot)
+        else:
+            deliver(bufs[g], data, private, stats)
+
     def run(op: int, g: int) -> None:
         if op == _D_RESOLVE:
-            bufs[g] = flat[g].resolve_buf()
+            bufs[g] = resolve(envs[rank_of[g]], flat[g].buf)
         elif op == _D_COMPUTE:
-            flat[g].fn()
+            run_op(envs[rank_of[g]], flat[g].op)
         elif op == _D_DIRECT:
             # Source → destination, no snapshot.  Only a donated
             # payload is private here (the live array is otherwise
@@ -220,7 +238,7 @@ def _data_mover(flat: List[_Step], pair: List[int], stats):
             arr = payload_array(bufs[g])
             if arr is not None:
                 stats.payload_views += 1
-            deliver(bufs[pair[g]], arr, flat[g].donate, stats)
+            land(pair[g], arr, flat[g].donate)
         elif op == _D_SNAP:
             arr = payload_array(bufs[g])
             if arr is not None:
@@ -235,9 +253,9 @@ def _data_mover(flat: List[_Step], pair: List[int], stats):
         else:  # _D_TAKE
             # Held payloads are private either way (donated or freshly
             # snapshotted): adoptable at the receive.
-            deliver(bufs[g], held[pair[g]], True, stats)
+            land(g, held[pair[g]], True)
 
-    return run, bufs
+    return run
 
 
 @dataclass(eq=False)
@@ -247,9 +265,7 @@ class _Plan:
     Steps are numbered rank-major: rank ``r``'s step ``i`` is slot
     ``offsets[r] + i``.  A plan lives as long as its communicator, so
     it shares what repeats: slot numbers, dependency tuples, legs and
-    interned wire times are stored once (about 200 B per step, plus
-    9 B per data-program operation: a code byte and a shared slot
-    int).
+    interned wire times are stored once.
     """
 
     #: One instruction per resolution event of the compiling walk, in
@@ -265,33 +281,51 @@ class _Plan:
     #: round label — what the traced span tree is drawn from.
     rank_rounds: List[int]
     rounds: List[int]
-    #: Per wire slot, the slot of the step it pairs with (-1: none).
-    pair: List[int]
-    #: The data program: one operation code per entry, and the slot
-    #: it applies to.  Empty for a data-free shape or a pricing-only
-    #: engine.
-    data_ops: bytes
-    data_slots: List[int]
-    #: Span label and ``nbytes`` attribute (from the schedule meta).
+    #: Per rank, the byte sizes of the user buffers it was compiled
+    #: over (what a hit's bound buffers must match).
+    sizes: List[Tuple]
+    #: Span label and ``nbytes`` attribute.
     name: str
     nbytes: int
+    #: The data program: one operation code per entry, and the slot
+    #: it applies to.  Empty for a data-free shape or a pricing-only
+    #: engine, and then so are the fields below.
+    data_ops: bytes = b""
+    data_slots: Tuple[int, ...] = ()
+    #: The compiled steps (their buffers and compute ops), each slot's
+    #: rank, the pairing of wire slots, and per rank its scratch
+    #: declarations — what a hit binds and replays.
+    steps: Tuple[_Step, ...] = ()
+    rank_of: Tuple[int, ...] = ()
+    pair: Tuple[int, ...] = ()
+    scratch: Tuple = ()
 
-    def check(self, inst: _Instance) -> None:
-        """A hit must bring the DAGs the plan was compiled from."""
-        for r, sched in enumerate(inst.scheds):
-            if len(sched.steps) != self.n_steps[r]:
-                raise MpiError(
-                    f"fast-path plan for {self.name!r} has "
-                    f"{self.n_steps[r]} steps on rank {r}, the schedule "
-                    f"{len(sched.steps)}: the shape key misses an input "
-                    "that changes the DAG"
-                )
+    def environment(self, rank: int, bufs, prebuilt) -> Optional[List]:
+        """Bind ``rank``'s buffers for a hit: its slots, or ``None``
+        when no data moves.  Raises when the buffers (or a prebuilt
+        DAG) disagree with what the plan was compiled from."""
+        if prebuilt is not None and len(prebuilt.steps) != self.n_steps[rank]:
+            raise MpiError(
+                f"fast-path plan for {self.name!r} has "
+                f"{self.n_steps[rank]} steps on rank {rank}, the schedule "
+                f"{len(prebuilt.steps)}: the shape key misses an input "
+                "that changes the DAG"
+            )
+        sizes = _sizes(bufs) if bufs else ()
+        if sizes != self.sizes[rank]:
+            raise MpiError(
+                f"fast-path plan for {self.name!r} was compiled for "
+                f"buffers of {self.sizes[rank]} B on rank {rank}, bound "
+                f"to {sizes} B: the shape key misses an input"
+            )
+        if not self.data_ops:
+            return None
+        return new_environment(self.scratch[rank], bufs)
 
-    def replay(self, inst: _Instance, stats) -> None:
+    def replay(self, envs: List[Optional[List[Any]]], stats) -> None:
         """Move one instance's data: run the data program over its
-        freshly built DAGs."""
-        flat = [st for sched in inst.scheds for st in sched.steps]
-        run = _data_mover(flat, self.pair, stats)[0]
+        bound environments."""
+        run = _data_mover(self.steps, self.rank_of, envs, self.pair, stats)
         for op, g in zip(self.data_ops, self.data_slots):
             run(op, g)
 
@@ -365,80 +399,60 @@ class FastPathEngine(ScheduleEngine):
     consumed via ``yield from`` by the blocking collectives and the
     inherited :meth:`ScheduleEngine.start` spawns it for the
     nonblocking ones.  The collective-instance sequence number is
-    claimed synchronously at issue time (``execute`` is a plain
-    function returning the generator), so mixed blocking/nonblocking
-    sequences stay aligned exactly like the tag-block claims.
+    claimed, and the hit-or-miss decision made, synchronously at issue
+    time (``execute`` is a plain function returning the generator), so
+    mixed blocking/nonblocking sequences stay aligned exactly like the
+    tag-block claims.
     """
 
     def __init__(self, comm, price_only: bool = False) -> None:
         super().__init__(comm)
         self._claims = [0] * comm.size
         self._instances: Dict[int, _Instance] = {}
-        #: Interned wire times: (src_node, dst_node, nbytes) → seconds.
-        self._wire_cache: Dict[Tuple[int, int, int], float] = {}
         #: Compiled plans by shape (see module doc).
         self._plans: Dict[Tuple, _Plan] = {}
-        #: Skip the dataflow interpreter: price timings only, leave
-        #: receive buffers untouched (see module doc).
+        #: Price timings only: bind no buffers, move no data (see
+        #: module doc).
         self.price_only = price_only
 
     # -- entry points -------------------------------------------------------
-    def execute(
-        self, ctx, sched: Schedule
-    ) -> Generator[Event, Any, None]:
+    def execute(self, ctx, build, shape: Optional[Tuple] = None,
+                bufs=(), nbytes: int = 0) -> Generator[Event, Any, None]:
         self.comm._ensure_alive()
-        seq = self._claims[ctx.rank]
-        self._claims[ctx.rank] += 1
-        return self._run(ctx, sched, seq, sched.shape)
+        rank = ctx.rank
+        seq = self._claims[rank]
+        self._claims[rank] += 1
+        inst = self._instances.get(seq)
+        prebuilt = build if isinstance(build, Schedule) else None
+        if prebuilt is not None:
+            shape, bufs = prebuilt.shape, prebuilt.user
+        if inst is None:
+            inst = self._instances[seq] = _Instance(
+                self.comm.size,
+                self._plans.get(shape) if shape is not None else None,
+            )
+        sched = env = None
+        if inst.plan is not None:
+            env = inst.plan.environment(rank, bufs, prebuilt)
+        else:
+            sched = prebuilt if prebuilt is not None else build()
+            if not self.price_only:
+                env = sched.environment()
+        return self._run(ctx, seq, inst, sched, env, shape, nbytes)
 
-    def execute_deferred(
-        self, ctx, shape: Tuple, build: Callable
-    ) -> Generator[Event, Any, None]:
-        """Run ``build(ctx)``'s schedule, building it only if ``shape``
-        has no plan yet: a data-free collective (the barrier a Jacobi
-        run fences with every iteration) that hits its plan never
-        builds its DAG."""
-        self.comm._ensure_alive()
-        seq = self._claims[ctx.rank]
-        self._claims[ctx.rank] += 1
-        return self._run(ctx, None, seq, shape, build)
-
-    def _run(
-        self, ctx, sched: Optional[Schedule], seq: int,
-        shape: Optional[Tuple], build: Optional[Callable] = None,
-    ) -> Generator[Event, Any, None]:
+    def _run(self, ctx, seq: int, inst: _Instance,
+             sched: Optional[Schedule], env, shape, nbytes: int,
+             ) -> Generator[Event, Any, None]:
         self.active += 1
         try:
-            inst = self._instances.get(seq)
-            if inst is None:
-                inst = _Instance(self.comm.size)
-                self._instances[seq] = inst
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
-            inst.deposit(ctx.rank, ctx, sched, done, shape)
-            if build is not None:
-                inst.build = build
+            inst.deposit(ctx.rank, ctx, sched, done, shape, env, nbytes)
             if inst.arrived == self.comm.size:
                 del self._instances[seq]
                 self._complete(inst)
             yield done
         finally:
             self.active -= 1
-
-    # -- pricing ------------------------------------------------------------
-    def _wt(self, src_node: int, dst_node: int, nbytes: int) -> float:
-        """Interned uncontended wire time for one transfer leg."""
-        key = (src_node, dst_node, nbytes)
-        cost = self._wire_cache.get(key)
-        stats = self.comm.sim.stats
-        if cost is None:
-            stats.wire_cost_misses += 1
-            cost = self.comm.cluster.interconnect.wire_time(
-                src_node, dst_node, nbytes
-            )
-            self._wire_cache[key] = cost
-        else:
-            stats.wire_cost_hits += 1
-        return cost
 
     # -- completion ---------------------------------------------------------
     def _complete(self, inst: _Instance) -> None:
@@ -448,22 +462,20 @@ class FastPathEngine(ScheduleEngine):
         sim = comm.sim
         stats = sim.stats
         size = comm.size
-        shape = inst.shape
-        plan = self._plans.get(shape) if shape is not None else None
+        plan = inst.plan
         if plan is not None:
+            if inst.shape is None:
+                raise MpiError(
+                    f"fast-path plan hit for {plan.name!r} whose ranks "
+                    "issued different plan keys"
+                )
             stats.fastpath_sched_cache_hits += 1
-            if inst.build is not None and plan.data_ops:
-                self._build_all(inst)
-            if inst.scheds[0] is not None:
-                plan.check(inst)
             if plan.data_ops:
-                plan.replay(inst, stats)
+                plan.replay(inst.envs, stats)
         else:
-            if inst.build is not None:
-                self._build_all(inst)
             plan = self._compile(inst)
-            if shape is not None:
-                self._plans[shape] = plan
+            if inst.shape is not None:
+                self._plans[inst.shape] = plan
 
         interconnect = comm.cluster.interconnect
         fins, rdy, fin = plan.evaluate(
@@ -484,11 +496,6 @@ class FastPathEngine(ScheduleEngine):
             # instance only resolves once every rank has shown up.
             batch.add(max(fins[r], now), inst.dones[r], None)
         batch.commit()
-
-    @staticmethod
-    def _build_all(inst: _Instance) -> None:
-        for r, ctx in enumerate(inst.ctxs):
-            inst.scheds[r] = inst.build(ctx)
 
     def _record_spans(
         self,
@@ -562,13 +569,12 @@ class FastPathEngine(ScheduleEngine):
         steps in the order the module doc's data ordering rule sets; a
         step it never resolves is reported as a stall.
         """
-        from ..communicator import HEADER_BYTES
-
         comm = self.comm
         eager_max = comm._ib.eager_threshold
         size = comm.size
         ctxs = inst.ctxs
-        steps_of = [inst.scheds[r].steps for r in range(size)]
+        scheds = inst.scheds
+        steps_of = [scheds[r].steps for r in range(size)]
         offsets = [0]
         for steps in steps_of:
             offsets.append(offsets[-1] + len(steps))
@@ -625,36 +631,21 @@ class FastPathEngine(ScheduleEngine):
                 dependents[d].append(ids[g])
         ready = [False] * len(flat)
         resolved = [False] * len(flat)
-        # Payload size per wire slot; a pair is priced with the larger
-        # of its two sides.  When data moves, a send's is set as its
-        # buffer resolves and a receive counts 0.  When nothing moves,
-        # computes never run, so a lazy send buffer built from staged
-        # data can under-resolve; each side is then sized off its
-        # buffer when its pair is first priced (no compute has run, so
-        # any time gives the same size), and the posted receive, which
-        # is statically the right size, makes the larger one equal the
-        # analytic send size.
-        nbytes = [0 if moves else -1] * len(flat)
         legs: List[Tuple[int, int, int]] = []
-
-        def wire_bytes(g: int) -> int:
-            n = nbytes[g]
-            if n < 0:
-                buf = flat[g].resolve_buf()
-                n = nbytes[g] = nbytes_of(buf) if buf is not None else 0
-            return n
+        wire_time = comm.cluster.interconnect.wire_time
 
         def wt(src: int, dst: int, n: int) -> float:
             leg = (src, dst, n)
             legs.append(shared.setdefault(leg, leg))
-            return self._wt(src, dst, n)
+            return wire_time(src, dst, n)
 
         code: List[Tuple] = []
         emit = code.append
         data_ops = bytearray()
         data_slots: List[int] = []
         if moves:
-            run, bufs = _data_mover(flat, pair, comm.sim.stats)
+            run = _data_mover(flat, rank_of, inst.envs, pair,
+                              comm.sim.stats)
 
         def move(op: int, g: int) -> None:
             data_ops.append(op)
@@ -674,7 +665,7 @@ class FastPathEngine(ScheduleEngine):
             else:
                 wires.append(g)
 
-        def resolve(g: int) -> None:
+        def resolve_step(g: int) -> None:
             resolved[g] = True
             for j in dependents[g]:
                 missing[j] -= 1
@@ -693,13 +684,11 @@ class FastPathEngine(ScheduleEngine):
                 if moves:
                     move(_D_COMPUTE, g)
                 emit((_K_COMPUTE, g, rank_of[g], deps_of[g], None))
-                resolve(g)
+                resolve_step(g)
             for g in wires:
                 kind = flat[g].kind
                 if moves and kind != _OVERHEAD:
                     move(_D_RESOLVE, g)
-                    if kind == _SEND and bufs[g] is not None:
-                        nbytes[g] = nbytes_of(bufs[g])
                 (recvq if kind == _RECV else sendq).append(g)
             wires.clear()
 
@@ -716,46 +705,46 @@ class FastPathEngine(ScheduleEngine):
             ready[g] = True
             if kind == _OVERHEAD:
                 emit((_K_OVERHEAD, g, r, deps, None))
-                resolve(g)
+                resolve_step(g)
             elif go < 0:
                 pass  # unmatched: reported as a stall below
             elif kind == _SEND:
                 if moves:
                     move(_D_DIRECT if ready[go] else _D_SNAP, g)
                 src, dst = nodes[g]
-                n = max(wire_bytes(g), wire_bytes(go))
+                n = scheds[r].nbytes(flat[g].buf)
                 if n <= eager_max:
                     emit((_K_ESEND, g, r, deps,
                           wt(src, dst, n + HEADER_BYTES)))
-                    resolve(g)
+                    resolve_step(g)
                     if ready[go]:
                         emit((_K_ERECV, go, rank_of[go], deps_of[go], g))
-                        resolve(go)
+                        resolve_step(go)
                 elif ready[go]:
                     emit((_K_READY, go, rank_of[go], deps_of[go], None))
                     emit((_K_RNDV, g, r, deps, (
                         go, True, wt(src, dst, HEADER_BYTES),
                         wt(dst, src, HEADER_BYTES), wt(src, dst, n),
                     )))
-                    resolve(g)
-                    resolve(go)
+                    resolve_step(g)
+                    resolve_step(go)
                 # else parked; the receive side resolves the pair
             elif ready[go]:
                 if moves:
                     move(_D_TAKE, g)
                 src, dst = nodes[go]
-                n = max(wire_bytes(go), wire_bytes(g))
+                n = scheds[rank_of[go]].nbytes(flat[go].buf)
                 if n <= eager_max:
                     emit((_K_ERECV, g, r, deps, go))
-                    resolve(g)
+                    resolve_step(g)
                 else:
                     emit((_K_READY, go, rank_of[go], deps_of[go], None))
                     emit((_K_RNDV, g, r, deps, (
                         go, False, wt(src, dst, HEADER_BYTES),
                         wt(dst, src, HEADER_BYTES), wt(src, dst, n),
                     )))
-                    resolve(go)
-                    resolve(g)
+                    resolve_step(go)
+                    resolve_step(g)
             # else posted; the send side resolves the pair
 
         if not all(resolved):
@@ -768,18 +757,20 @@ class FastPathEngine(ScheduleEngine):
                 f"wire steps); pending steps per rank: {stuck}"
             )
 
-        rank_rounds = [inst.scheds[r].n_rounds for r in range(size)]
-        meta = next(
-            (s.meta for s in inst.scheds if s is not None and s.meta), None
-        ) or {}
-        name = meta.get("op", "collective")
-        if meta.get("algo"):
-            name = f"{name}[{meta['algo']}]"
-        return _Plan(
+        rank_rounds = [scheds[r].n_rounds for r in range(size)]
+        plan = _Plan(
             code=code, legs=legs, offsets=offsets,
             n_steps=[len(steps) for steps in steps_of],
             n_rounds=max(rank_rounds, default=0),
             rank_rounds=rank_rounds, rounds=[st.round for st in flat],
-            pair=pair, data_ops=bytes(data_ops), data_slots=data_slots,
-            name=name, nbytes=meta.get("nbytes", 0),
+            sizes=[_sizes(scheds[r].user) for r in range(size)],
+            name=span_name(inst.label), nbytes=inst.nbytes,
         )
+        if moves:
+            plan.data_ops = bytes(data_ops)
+            plan.data_slots = tuple(data_slots)
+            plan.steps = tuple(flat)
+            plan.rank_of = tuple(rank_of)
+            plan.pair = tuple(pair)
+            plan.scratch = tuple(scheds[r].scratch_specs for r in range(size))
+        return plan

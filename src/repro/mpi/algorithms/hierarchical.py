@@ -33,15 +33,14 @@ arithmetic is hand-rolled here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
+from .allgather import AllgatherRecv, _schedule as _allgather_schedule
 from .allreduce import append_ring_allgather, append_ring_reduce_scatter
 from .base import next_tag
-from .schedule import Schedule, SubSchedule
+from .schedule import Pack, Ref, Schedule, SubSchedule
 
 __all__ = [
     "build_allreduce_hierarchical",
@@ -62,10 +61,6 @@ def _hier_setup(ctx):
     return comm.hier_comms(), groups
 
 
-def _u8(arr: np.ndarray) -> np.ndarray:
-    return arr.view(np.uint8).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # Allreduce
 # ---------------------------------------------------------------------------
@@ -78,29 +73,27 @@ def build_allreduce_hierarchical(
 ) -> Schedule:
     """Two-level allreduce over the communicator's locality groups."""
     src = payload_array(sendbuf)
-    out = payload_array(recvbuf)
     if src is None:
         raise MpiError("allreduce requires an array payload")
-    if out is None:
+    if payload_array(recvbuf) is None:
         raise MpiError("allreduce requires a recv buffer on every rank")
-    sched = Schedule()
-    acc = src.copy().reshape(-1)
+    sched = Schedule(sendbuf, recvbuf)
+    out = Ref(1)
+    acc = sched.scratch(src.size, src.dtype, init=Ref(0))
     if ctx.size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.copy(acc, out, after=(sched.last,))
         return sched
     hier, _groups = _hier_setup(ctx)
     if hier.equal_groups:
-        _allreduce_equal_pods(sched, ctx, hier, acc, out, op)
+        deps = _allreduce_equal_pods(sched, ctx, hier, acc, src, op)
     else:
-        _allreduce_unequal_pods(sched, ctx, hier, acc, out, op)
+        deps = _allreduce_unequal_pods(sched, ctx, hier, acc, src, op)
+    sched.copy(acc, out, after=deps)
     return sched
 
 
-def _allreduce_equal_pods(sched, ctx, hier, acc, out, op) -> None:
+def _allreduce_equal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
     """Equal pods: intra RS → peer-comm ring allreduce → intra AG.
 
     Same message sequence as the PR 2 hand-rolled schedule, but every
@@ -114,37 +107,37 @@ def _allreduce_equal_pods(sched, ctx, hier, acc, out, op) -> None:
     itag = next_tag(intra)
     if s > 1:
         deps = append_ring_reduce_scatter(
-            intra_sub, intra, acc, op, itag
+            intra_sub, intra, acc, src.size, src.dtype, op, itag
         )
     # After the reduce-scatter this member owns chunk (m+1) mod s; the
     # peer communicator (member m of every domain) allreduces it.
-    n = acc.size
+    n = src.size
+    isz = src.itemsize
     bounds = [(c * n) // s for c in range(s + 1)]
     own = (intra.rank + 1) % s if s > 1 else 0
-    mine = acc[bounds[own] : bounds[own + 1]]
+    count = bounds[own + 1] - bounds[own]
+    mine = acc.at(bounds[own] * isz, bounds[own + 1] * isz)
     if peer is not None and peer.size > 1:
         peer_sub = SubSchedule(sched, peer)
         ptag = next_tag(peer)
         rnd = sched.n_rounds
         deps = append_ring_reduce_scatter(
-            peer_sub, peer, mine, op, ptag, after=deps, round0=rnd
+            peer_sub, peer, mine, count, src.dtype, op, ptag, after=deps,
+            round0=rnd,
         )
         deps = append_ring_allgather(
-            peer_sub, peer, mine, ptag + 4, after=deps,
+            peer_sub, peer, mine, count, isz, ptag + 4, after=deps,
             round0=sched.n_rounds,
         )
     if s > 1:
         deps = append_ring_allgather(
-            intra_sub, intra, acc, itag + 4, after=deps,
+            intra_sub, intra, acc, n, isz, itag + 4, after=deps,
             round0=sched.n_rounds,
         )
-    sched.compute(
-        lambda: out.__setitem__(..., acc.reshape(out.shape)),
-        after=deps,
-    )
+    return deps
 
 
-def _allreduce_unequal_pods(sched, ctx, hier, acc, out, op) -> None:
+def _allreduce_unequal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
     """Unequal pods: ring allreduce on a locality-reordered comm.
 
     The peer rings of the equal-pod path need member *i* to exist in
@@ -161,13 +154,11 @@ def _allreduce_unequal_pods(sched, ctx, hier, acc, out, op) -> None:
     rctx = hier.reordered_ctx(ctx.rank)
     sub = SubSchedule(sched, rctx)
     tag = next_tag(rctx)
-    deps = append_ring_reduce_scatter(sub, rctx, acc, op, tag)
-    deps = append_ring_allgather(
-        sub, rctx, acc, tag + 4, after=deps, round0=sched.n_rounds
-    )
-    sched.compute(
-        lambda: out.__setitem__(..., acc.reshape(out.shape)),
-        after=deps,
+    deps = append_ring_reduce_scatter(sub, rctx, acc, src.size, src.dtype,
+                                      op, tag)
+    return append_ring_allgather(
+        sub, rctx, acc, src.size, src.itemsize, tag + 4, after=deps,
+        round0=sched.n_rounds,
     )
 
 
@@ -178,7 +169,7 @@ def _allreduce_unequal_pods(sched, ctx, hier, acc, out, op) -> None:
 def build_allgather_hierarchical(
     ctx,
     sendbuf: Payload,
-    recvbufs: Sequence[Payload],
+    recvbufs: AllgatherRecv,
 ) -> Schedule:
     """Topology-aware allgather: gather → leader ring → broadcast.
 
@@ -191,17 +182,15 @@ def build_allgather_hierarchical(
     """
     from .bcast import _append_binomial
 
-    mine = payload_array(sendbuf)
-    if mine is None:
+    if payload_array(sendbuf) is None:
         raise MpiError("hierarchical allgather requires an array payload")
     arrays = [payload_array(b) for b in recvbufs]
     if any(a is None for a in arrays):
         raise MpiError(
             "hierarchical allgather needs a recv buffer for every rank"
         )
-    sched = Schedule()
+    sched, recv_of = _allgather_schedule(sendbuf, recvbufs)
     hier, groups = _hier_setup(ctx)
-    comm = ctx.comm
     intra = hier.intra_ctx(ctx.rank)
     s = intra.size
     G = len(groups)
@@ -217,10 +206,12 @@ def build_allgather_hierarchical(
         for r in g:
             offset[r] = off
             off += block_bytes[r]
-    total = off
-    full = np.empty(total, dtype=np.uint8)
+    full = sched.scratch(off)
     dom_lo = [offset[g[0]] for g in groups]
     dom_hi = [offset[g[-1]] + block_bytes[g[-1]] for g in groups]
+
+    def block(r: int):
+        return full.at(offset[r], offset[r] + block_bytes[r])
 
     intra_sub = SubSchedule(sched, intra)
     itag = next_tag(intra)
@@ -228,20 +219,11 @@ def build_allgather_hierarchical(
     members = groups[gi]
     if intra.rank == 0:
         # Leader: collect the domain's blocks (own block via memcpy).
-        my_r = ctx.rank
-
-        def own_copy():
-            full[offset[my_r] : offset[my_r] + block_bytes[my_r]] = _u8(mine)
-
-        deps = [sched.compute(own_copy)]
+        deps = [sched.copy(Ref(0), block(ctx.rank))]
         for m in range(1, s):
-            r_parent = members[m]
-            lo = offset[r_parent]
-            deps.append(intra_sub.recv(
-                full[lo : lo + block_bytes[r_parent]], m, itag
-            ))
+            deps.append(intra_sub.recv(block(members[m]), m, itag))
     elif s > 1:
-        deps = [intra_sub.send(_u8(mine), 0, itag)]
+        deps = [intra_sub.send(Ref(0), 0, itag)]
 
     # Leader ring over the (unequal) domain blocks of ``full``.
     leader = hier.leader_ctx(ctx.rank)
@@ -254,9 +236,9 @@ def build_allgather_hierarchical(
         for step in range(G - 1):
             send_d = (gi - step) % G
             recv_d = (gi - step - 1) % G
-            snd = lsub.send(full[dom_lo[send_d] : dom_hi[send_d]], right,
+            snd = lsub.send(full.at(dom_lo[send_d], dom_hi[send_d]), right,
                             ltag + step % 4, after=deps, round=rnd0 + step)
-            rcv = lsub.recv(full[dom_lo[recv_d] : dom_hi[recv_d]], left,
+            rcv = lsub.recv(full.at(dom_lo[recv_d], dom_hi[recv_d]), left,
                             ltag + step % 4, after=deps, round=rnd0 + step)
             deps = [snd, rcv]
 
@@ -267,13 +249,9 @@ def build_allgather_hierarchical(
             intra_sub, intra, full, list(range(s)), 0, btag,
             after=deps, round0=sched.n_rounds,
         )
-
-    def scatter_out():
-        for r, arr in enumerate(arrays):
-            lo = offset[r]
-            _u8(arr)[...] = full[lo : lo + block_bytes[r]]
-
-    sched.compute(scatter_out, after=deps)
+    # Scatter into the per-rank buffers, in assembly order.
+    sched.copy(full, Pack(tuple(recv_of(r) for g in groups for r in g)),
+               after=deps)
     return sched
 
 
@@ -283,8 +261,8 @@ def build_allgather_hierarchical(
 
 def build_alltoall_hierarchical(
     ctx,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
+    sendbufs,
+    recvbufs,
 ) -> Schedule:
     """Topology-aware alltoall: bucket-gather → leader exchange →
     dispersal.
@@ -307,13 +285,12 @@ def build_alltoall_hierarchical(
         a.nbytes != B for a in outs
     ):
         raise MpiError("hierarchical alltoall needs uniform block sizes")
-    sched = Schedule()
+    sched = Schedule(*sendbufs, *recvbufs)
     hier, groups = _hier_setup(ctx)
     intra = hier.intra_ctx(ctx.rank)
     s = intra.size
     G = len(groups)
     gi = hier.dom_of[ctx.rank]
-    members = groups[gi]
     sizes = [len(g) for g in groups]
     P = ctx.size
 
@@ -323,40 +300,29 @@ def build_alltoall_hierarchical(
     dstart = [0] * (G + 1)
     for d in range(G):
         dstart[d + 1] = dstart[d] + sizes[d] * B
-
-    def payload_of(send_arrays) -> np.ndarray:
-        return np.concatenate([_u8(send_arrays[j]) for j in dm_order])
+    payload = Pack(tuple(Ref(j) for j in dm_order))
+    result = Pack(tuple(Ref(P + j) for j in dm_order))
 
     intra_sub = SubSchedule(sched, intra)
     itag = next_tag(intra)
-    deps: List[int] = []
     if intra.rank == 0:
         # Leader: stage[m] = member m's full payload in dm_order.
-        stage: List[Optional[np.ndarray]] = [None] * s
-
-        def own_stage():
-            stage[0] = payload_of(mine)
-
-        deps = [sched.compute(own_stage)]
+        stage = [sched.scratch(P * B) for _ in range(s)]
+        deps = [sched.copy(payload, stage[0])]
         for m in range(1, s):
-            buf = np.empty(P * B, dtype=np.uint8)
-            stage[m] = buf
-            deps.append(intra_sub.recv(buf, m, itag))
+            deps.append(intra_sub.recv(stage[m], m, itag))
 
         # Leader exchange: shift schedule over super-buckets.  The
         # super-bucket for domain d concatenates every local member's
-        # bucket for d — resolved lazily, once phase 1 delivered.
-        inbuf: List[Optional[np.ndarray]] = [None] * G
+        # bucket for d — packed when its send starts, once phase 1
+        # delivered.
+        def super_bucket(d: int) -> Pack:
+            return Pack(tuple(
+                stage[m].at(dstart[d], dstart[d + 1]) for m in range(s)
+            ))
 
-        def super_bucket(d: int) -> np.ndarray:
-            return np.concatenate(
-                [stage[m][dstart[d] : dstart[d + 1]] for m in range(s)]
-            )
-
-        def keep_own(d=gi):
-            inbuf[d] = super_bucket(d)
-
-        deps = [sched.compute(keep_own, after=deps)]
+        inbuf = [sched.scratch(sizes[d] * s * B) for d in range(G)]
+        deps = [sched.copy(super_bucket(gi), inbuf[gi], after=deps)]
         leader = hier.leader_ctx(ctx.rank)
         if leader is not None and leader.size > 1:
             lsub = SubSchedule(sched, leader)
@@ -365,52 +331,33 @@ def build_alltoall_hierarchical(
             for k in range(1, G):
                 dst = (gi + k) % G
                 src = (gi - k) % G
-                rbuf = np.empty(sizes[src] * s * B, dtype=np.uint8)
-                inbuf[src] = rbuf
                 snd = lsub.send(
-                    lambda d=dst: super_bucket(d), dst, ltag + (k - 1) % 4,
+                    super_bucket(dst), dst, ltag + (k - 1) % 4,
                     after=deps, round=rnd0 + k - 1,
                 )
-                rcv = lsub.recv(rbuf, src, ltag + (k - 1) % 4,
+                rcv = lsub.recv(inbuf[src], src, ltag + (k - 1) % 4,
                                 after=deps, round=rnd0 + k - 1)
                 deps = [snd, rcv]
 
         # Dispersal: member m's result is, per source domain d and
         # source member index q, the m-th block of bucket (q → my
         # domain) inside inbuf[d].
-        def member_result(m: int) -> np.ndarray:
-            parts = []
-            for d in range(G):
-                buf = inbuf[d]
-                for q in range(sizes[d]):
-                    lo = (q * s + m) * B
-                    parts.append(buf[lo : lo + B])
-            return np.concatenate(parts)
+        def member_result(m: int) -> Pack:
+            return Pack(tuple(
+                inbuf[d].at((q * s + m) * B, (q * s + m + 1) * B)
+                for d in range(G) for q in range(sizes[d])
+            ))
 
         dtag = next_tag(intra)
         rnd = sched.n_rounds
         for m in range(1, s):
-            intra_sub.send(
-                lambda m=m: member_result(m), m, dtag,
-                after=deps, round=rnd,
-            )
-
-        def own_unpack():
-            res = member_result(0)
-            for k, j in enumerate(dm_order):
-                _u8(outs[j])[...] = res[k * B : (k + 1) * B]
-
-        sched.compute(own_unpack, after=deps)
+            intra_sub.send(member_result(m), m, dtag, after=deps, round=rnd)
+        sched.copy(member_result(0), result, after=deps)
     else:
         # Member: ship the payload up, await the dealt result.
-        snd = intra_sub.send(lambda: payload_of(mine), 0, itag)
+        snd = intra_sub.send(payload, 0, itag)
         dtag = next_tag(intra)
-        res = np.empty(P * B, dtype=np.uint8)
+        res = sched.scratch(P * B)
         rcv = intra_sub.recv(res, 0, dtag)
-
-        def unpack():
-            for k, j in enumerate(dm_order):
-                _u8(outs[j])[...] = res[k * B : (k + 1) * B]
-
-        sched.compute(unpack, after=(snd, rcv))
+        sched.copy(res, result, after=(snd, rcv))
     return sched

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from ..datatypes import AdoptBuf, Payload, ReduceOp, payload_array
+from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
 from .base import largest_pof2, next_tag
-from .schedule import Schedule
+from .schedule import Ref, Schedule
 
 __all__ = [
     "build_reduce_binomial",
@@ -42,27 +40,31 @@ def _setup(ctx, sendbuf: Payload, recvbuf: Optional[Payload], root: int):
     out = payload_array(recvbuf) if recvbuf is not None else None
     if ctx.rank == root and out is None:
         raise MpiError("root needs a recv buffer for reduce")
-    return src, out
+    return src
 
 
 def append_reduce_binomial(
     sched: Schedule,
     ctx,
-    sendbuf: Payload,
-    recvbuf: Optional[Payload],
+    send: Ref,
+    recv: Optional[Ref],
     op: ReduceOp = ReduceOp.SUM,
     root: int = 0,
     after: Sequence[int] = (),
 ) -> List[int]:
-    """Binomial-tree reduction to ``root`` (the seed schedule).
+    """Binomial-tree reduction of user slot ``send`` into user slot
+    ``recv`` at ``root`` (the seed schedule).
 
     Same virtual-rank arithmetic and message sequence as the original
     run-to-completion loop; returns the terminal step indices.
     """
-    src, out = _setup(ctx, sendbuf, recvbuf, root)
+    src = _setup(
+        ctx, sched.user[send.slot],
+        None if recv is None else sched.user[recv.slot], root,
+    )
     size, rank = ctx.size, ctx.rank
     tag = next_tag(ctx)
-    st = {"acc": src.copy()}
+    acc = sched.scratch(src.size, src.dtype, init=send)
     deps = list(after)
     if size > 1:
         vrank = (rank - root) % size
@@ -73,28 +75,22 @@ def append_reduce_binomial(
                 dst = ((vrank & ~mask) + root) % size
                 # donate: acc is rebound, and this rank's tree role
                 # ends at this send — nothing touches acc afterwards.
-                deps = [sched.send(lambda: st["acc"], dst, tag,
-                                   after=deps, round=rnd, donate=True)]
+                deps = [sched.send(acc, dst, tag, after=deps, round=rnd,
+                                   donate=True)]
                 break
             partner_v = vrank | mask
             if partner_v < size:
-                tmp = AdoptBuf(st["acc"])
+                tmp = sched.scratch(src.size, src.dtype, adopt=True)
                 partner = (partner_v + root) % size
                 r = sched.recv(tmp, partner, tag, after=deps, round=rnd)
-
-                def combine(tmp=tmp):
-                    st["acc"] = op.combine(st["acc"], tmp.arr)
-
-                deps = [sched.compute(combine, after=(r,), round=rnd)]
+                deps = [sched.reduce(op, acc, tmp, into=acc, after=(r,),
+                                     round=rnd)]
             mask <<= 1
             rnd += 1
     else:
         deps = [sched.overhead(after=deps)]
     if rank == root:
-        deps = [sched.compute(
-            lambda: out.__setitem__(..., st["acc"].reshape(out.shape)),
-            after=deps,
-        )]
+        deps = [sched.copy(acc, recv, after=deps)]
     return deps
 
 
@@ -105,8 +101,9 @@ def build_reduce_binomial(
     op: ReduceOp = ReduceOp.SUM,
     root: int = 0,
 ) -> Schedule:
-    sched = Schedule()
-    append_reduce_binomial(sched, ctx, sendbuf, recvbuf, op=op, root=root)
+    sched = Schedule(sendbuf, recvbuf)
+    append_reduce_binomial(sched, ctx, Ref(0), Ref(1), op=op,
+                           root=root)
     return sched
 
 
@@ -130,26 +127,25 @@ def build_reduce_rabenseifner(
     phase, then the gather phase folds the chunk ranges upward to the
     root in ⌈log2 pof2⌉ doubling rounds.
     """
-    src, out = _setup(ctx, sendbuf, recvbuf, root)
+    src = _setup(ctx, sendbuf, recvbuf, root)
     size, rank = ctx.size, ctx.rank
-    sched = Schedule()
-    acc = src.copy().reshape(-1)
+    sched = Schedule(sendbuf, recvbuf)
+    out = Ref(1)
+    acc = sched.scratch(src.size, src.dtype, init=Ref(0))
     if size == 1:
         sched.overhead()
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=(sched.last,),
-        )
+        sched.copy(acc, out, after=(sched.last,))
         return sched
     tag = next_tag(ctx)
     vr = (rank - root) % size
     pof2 = largest_pof2(size)
     rem = size - pof2
-    n = acc.size
+    n = src.size
+    isz = src.itemsize
     bounds = [(c * n) // pof2 for c in range(pof2 + 1)]
 
-    def seg(lo: int, hi: int) -> np.ndarray:
-        return acc[bounds[lo] : bounds[hi]]
+    def seg(lo: int, hi: int) -> Ref:
+        return acc.at(bounds[lo] * isz, bounds[hi] * isz)
 
     def real(v: int) -> int:
         return (v + root) % size
@@ -167,16 +163,10 @@ def build_reduce_rabenseifner(
             return sched
         if vr < rem:
             fold_src = real(vr + pof2)
-            tmp0 = AdoptBuf(acc)
+            tmp0 = sched.scratch(n, src.dtype, adopt=True)
             r = sched.recv(tmp0, fold_src, tag + 6, after=deps, round=rnd)
-
-            def fold_in(tmp0=tmp0, fold_src=fold_src):
-                acc[...] = (
-                    op.combine(tmp0.arr, acc) if fold_src < rank
-                    else op.combine(acc, tmp0.arr)
-                )
-
-            deps = [sched.compute(fold_in, after=(r,), round=rnd)]
+            a, b = (tmp0, acc) if fold_src < rank else (acc, tmp0)
+            deps = [sched.combine(op, a, b, acc, after=(r,), round=rnd)]
         rnd += 1
     # Phase 1 (tag offsets 0/1) — recursive halving reduce-scatter: each
     # round trades half of the live range with the partner at distance
@@ -192,22 +182,17 @@ def build_reduce_rabenseifner(
         else:
             keep_lo, keep_hi = mid, hi
             give_lo, give_hi = lo, mid
-        tmp = AdoptBuf(seg(keep_lo, keep_hi))
+        mine = seg(keep_lo, keep_hi)
+        tmp = sched.scratch(bounds[keep_hi] - bounds[keep_lo], src.dtype,
+                            adopt=True)
         # donate: acc is collective-private; the given-away half is
         # next written only by a gather recv, causally behind the
         # partner's combine — the last read of the adopted view.
         s = sched.send(seg(give_lo, give_hi), partner, tag + rnd % 2,
                        after=deps, round=rnd, donate=True)
         r = sched.recv(tmp, partner, tag + rnd % 2, after=deps, round=rnd)
-
-        def combine(tmp=tmp, klo=keep_lo, khi=keep_hi, partner=partner):
-            mine = seg(klo, khi)
-            mine[...] = (
-                op.combine(tmp.arr, mine) if partner < rank
-                else op.combine(mine, tmp.arr)
-            )
-
-        deps = [sched.compute(combine, after=(s, r), round=rnd)]
+        a, b = (tmp, mine) if partner < rank else (mine, tmp)
+        deps = [sched.combine(op, a, b, mine, after=(s, r), round=rnd)]
         lo, hi = keep_lo, keep_hi
         rnd += 1
     # Phase 2 (tag offsets 2/3) — binomial gather of the combined chunks:
@@ -233,9 +218,6 @@ def build_reduce_rabenseifner(
         mask <<= 1
         rnd += 1
     if rank == root:
-        sched.compute(
-            lambda: out.__setitem__(..., acc.reshape(out.shape)),
-            after=deps,
-        )
+        sched.copy(acc, out, after=deps)
     return sched
 

@@ -11,11 +11,11 @@ exactly the way the hand-written generator loops used to overlap their
 
 Two execution modes share the same code path:
 
-* **blocking** — ``yield from engine.execute(ctx, sched)`` inside the
-  caller's process (what ``mpi/collectives.py`` does for the classic
-  MPI-2 collectives);
-* **nonblocking** — ``engine.start(ctx, sched)`` spawns the executor as
-  its own simulated process and returns a
+* **blocking** — ``yield from engine.execute(ctx, build, ...)`` inside
+  the caller's process (what ``mpi/collectives.py`` does for the
+  classic MPI-2 collectives);
+* **nonblocking** — ``engine.start(ctx, build, ...)`` spawns the
+  executor as its own simulated process and returns a
   :class:`~repro.mpi.communicator.Request`, which is what the MPI-3
   style ``ibcast``/``iallreduce``/... return and what DCGN's comm
   thread uses to progress collectives while kernels keep computing.
@@ -23,9 +23,7 @@ Two execution modes share the same code path:
 Timing parity: a schedule whose dependency edges mirror a blocking
 loop's control flow (send_k ∥ recv_k, both gated on round k−1) produces
 the *same* message sequence at the same simulated times — the engine is
-pure bookkeeping and charges nothing itself.  That is what keeps the
-pre-existing BENCH gates byte-stable while making every algorithm
-startable nonblockingly.
+pure bookkeeping and charges nothing itself.
 
 Steps carry a ``round`` label.  Rounds have no execution semantics
 (dependencies alone order the DAG) but they are the unit the autotuner
@@ -33,70 +31,147 @@ costs — :mod:`repro.mpi.algorithms.autotune` prices an algorithm as the
 sum of its per-round critical paths — and the unit ``describe()``
 reports for tests and diagnostics.
 
-Buffers may be supplied lazily (a zero-argument callable returning the
-payload) for algorithms whose round *k* payload only exists once round
-*k−1* delivered — the Bruck rotation, recursive-doubling packs, the
-rebound accumulator of the halving reductions.
+**Schedules are plain data.**  A step never holds a buffer or a
+function.  Every buffer it touches is a :class:`Ref` — a *slot* of a
+per-instance environment, optionally narrowed to a byte region — or a
+:class:`Pack` of refs, concatenated when the step starts.  The slots
+are the user's buffers (``Schedule(*user)``, in the order the dispatch
+layer passes them) followed by the scratch arrays the schedule
+declares (:meth:`Schedule.scratch`), allocated per instance at bind
+time.  Every compute is one op from a closed set — copy (into a pack:
+scatter), combine in place, combine into a rebound slot — run by
+:func:`run_op`.  A slot's binding may change while the schedule runs
+(a combine rebinds an accumulator, a receive adopts a donated
+payload), so a wire step reads its buffer from the environment when it
+starts.  The same descriptors drive both engines, and a fast-path plan
+replays them over freshly bound buffers without calling the builder.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
+import numpy as np
+
+from ...hw.memory import nbytes_of
 from ...sim.core import Event
 from ..communicator import MpiContext, Request
-from ..datatypes import Payload
+from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
 
-__all__ = ["Schedule", "ScheduleEngine", "LazyBuf", "blocking"]
+__all__ = [
+    "Schedule", "ScheduleEngine", "SubSchedule", "Ref", "Pack",
+    "new_environment", "resolve", "run_op",
+]
 
 
-def blocking(builder: Callable) -> Callable:
-    """Blocking entry point for a schedule builder.
+class Ref(NamedTuple):
+    """A buffer reference: slot ``slot``, whole (``hi < 0``: the bound
+    payload itself) or the byte region ``[lo, hi)`` of its flattened
+    array."""
 
-    Builds the schedule and executes it to completion in the calling
-    process — the single adapter behind every name in
-    :data:`~repro.mpi.algorithms.selector.ALGORITHMS`, so the blocking
-    and nonblocking paths can never drift apart.
-    """
+    slot: int
+    lo: int = 0
+    hi: int = -1
 
-    def run(ctx, *args, **kwargs):
-        yield from ctx.comm.engine.execute(
-            ctx, builder(ctx, *args, **kwargs)
-        )
+    def at(self, lo: int, hi: int) -> "Ref":
+        """The byte region ``[lo, hi)`` of this ref (offsets relative to
+        its own start)."""
+        return Ref(self.slot, self.lo + lo, self.lo + hi)
 
-    run.__name__ = builder.__name__.replace("build_", "")
-    run.__qualname__ = run.__name__
-    run.__doc__ = (
-        f"Blocking execution of :func:`{builder.__name__}`'s schedule."
-    )
-    return run
 
-#: A payload, or a zero-arg callable resolved when the step starts.
-LazyBuf = Union[Payload, Callable[[], Payload]]
+class Pack(NamedTuple):
+    """The concatenation of ``parts``' bytes, built when a step reads
+    it (a send's staging payload, a pack bound as a slot)."""
+
+    parts: Tuple[Ref, ...]
+
+
+Buf = Union[Ref, Pack, None]
 
 _SEND = "send"
 _RECV = "recv"
 _COMPUTE = "compute"
 _OVERHEAD = "overhead"
 
-#: Interned per-round span names ("round0", "round1", ...) — every
-#: traced collective emits one span per round, so the f-string is paid
-#: once per distinct round index, not once per span.
-_ROUND_NAMES: List[str] = []
+# Compute op codes (see run_op).
+_COPY = 0     # (code, src, dst): dst[...] = src; a pack dst scatters
+_COMBINE = 1  # (code, op, a, b, dst): dst[...] = op(a, b)
+_REDUCE = 2   # (code, op, a, b, slot): slot := op(a, b)
+
+_U8 = np.dtype(np.uint8)
+_EMPTY = np.empty(0, dtype=_U8)
 
 
-def _round_name(rd: int) -> str:
-    names = _ROUND_NAMES
-    while len(names) <= rd:
-        names.append(f"round{len(names)}")
-    return names[rd]
+def _u8(arr: np.ndarray) -> np.ndarray:
+    """``arr``'s bytes as a flat ``uint8`` view."""
+    if arr.ndim != 1:
+        arr = arr.reshape(-1)
+    return arr if arr.dtype is _U8 else arr.view(_U8)
 
 
-@dataclass
+def _view(env: List[Any], ref: Ref) -> np.ndarray:
+    """The array ``ref`` names: its slot's, or a flat view of the
+    region — in the slot's dtype when the region is element-aligned
+    (every combine operand is), as bytes otherwise."""
+    arr = payload_array(env[ref.slot])
+    if ref.hi < 0:
+        return arr
+    if arr.ndim != 1:
+        arr = arr.reshape(-1)
+    isz = arr.itemsize
+    if ref.lo % isz or ref.hi % isz:
+        return arr.view(_U8)[ref.lo : ref.hi]
+    return arr[ref.lo // isz : ref.hi // isz]
+
+
+def resolve(env: List[Any], ref: Buf) -> Payload:
+    """What ``ref`` names in the bound environment ``env``."""
+    if ref is None:
+        return None
+    if ref.__class__ is Pack:
+        parts = [_u8(_view(env, p)) for p in ref.parts]
+        return np.concatenate(parts) if parts else _EMPTY
+    if ref.hi < 0:
+        return env[ref.slot]
+    return _view(env, ref)
+
+
+def run_op(env: List[Any], op: Tuple) -> None:
+    """Run one compute op over the bound environment ``env``."""
+    code = op[0]
+    if code == _COPY:
+        _, src, dst = op
+        if src.__class__ is dst.__class__ is Ref and max(src.hi, dst.hi) < 0:
+            # Whole buffers: a typed copy, skipped for timing-only ones.
+            a = payload_array(env[src.slot])
+            b = payload_array(env[dst.slot])
+            if a is not None and b is not None:
+                b[...] = a.reshape(b.shape)
+            return
+        data = _u8(payload_array(resolve(env, src)))
+        parts = dst.parts if dst.__class__ is Pack else (dst,)
+        off = 0
+        for p in parts:
+            view = _u8(_view(env, p))
+            view[...] = data[off : off + view.size]
+            off += view.size
+    elif code == _COMBINE:
+        _, rop, a, b, dst = op
+        _view(env, dst)[...] = rop.combine(_view(env, a), _view(env, b))
+    else:  # _REDUCE
+        _, rop, a, b, slot = op
+        env[slot] = rop.combine(_view(env, a), _view(env, b))
+
+
+@dataclass(slots=True)
 class _Step:
-    """One node of the schedule DAG."""
+    """One node of the schedule DAG (plain data: no buffers, no
+    functions)."""
 
     idx: int
     kind: str
@@ -105,50 +180,50 @@ class _Step:
     #: Wire steps: the peer rank and internal tag.
     peer: int = -1
     tag: int = -1
-    #: Wire steps: payload (possibly lazy).
-    buf: LazyBuf = None
-    #: Compute steps: the local action (runs in zero simulated time,
-    #: like the inline numpy combines of the old generator loops).
-    fn: Optional[Callable[[], None]] = None
+    #: Wire steps: the buffer (``None``: a timing-only message).
+    buf: Buf = None
+    #: Compute steps: the op tuple (see :func:`run_op`); runs in zero
+    #: simulated time.
+    op: Optional[Tuple] = None
     #: Wire steps: the context this step runs under — a *derived*
     #: communicator's :class:`MpiContext` when the hierarchical
     #: collectives route a phase through a sub-communicator (``peer``
     #: and ``tag`` are then that communicator's).  ``None`` = the
     #: executing rank's own context.
     via: Optional[MpiContext] = None
-    #: Send steps: the payload is a fresh builder-local staging array
-    #: (or a rebound accumulator) that provably cannot be mutated
-    #: between injection and delivery, so the defensive send-time
-    #: ``np.copy`` may be elided.  Never set on user-owned buffers.
+    #: Send steps: the payload is schedule scratch (or a rebound
+    #: accumulator) that provably cannot be mutated between injection
+    #: and delivery, so the defensive send-time copy may be elided.
+    #: Never set on user-owned buffers.
     alias_ok: bool = False
     #: Send steps: the payload is *donated* — the sender never writes
-    #: the array again before every receiver has consumed it, so a
-    #: matching :class:`~repro.mpi.datatypes.AdoptBuf` receive may take
-    #: ownership of the in-flight array instead of copying out of it.
-    #: Strictly stronger than ``alias_ok`` (implies it at the wire).
+    #: the array again before every receiver has consumed it, so an
+    #: adopting receive may take ownership of the in-flight array
+    #: instead of copying out of it.  Implies ``alias_ok``.
     donate: bool = False
-
-    def resolve_buf(self) -> Payload:
-        return self.buf() if callable(self.buf) else self.buf
+    #: Receive steps: the target is a whole adoptable scratch slot,
+    #: which a private payload rebinds instead of being copied in.
+    adopt: bool = False
 
 
 class Schedule:
-    """A per-rank DAG of communication/compute steps."""
+    """A per-rank DAG of communication/compute steps over slots.
 
-    def __init__(self) -> None:
+    ``Schedule(*user)`` makes ``user[i]`` slot ``i``; :meth:`scratch`
+    declares more.  A payload passed where a :class:`Ref` is expected
+    (a hand-built schedule's array, ``None`` for a timing-only message)
+    becomes a new user slot.
+    """
+
+    def __init__(self, *user: Payload) -> None:
         self.steps: List[_Step] = []
-        #: Collective identity for observability: the dispatch layer
-        #: stamps ``{"op", "algo", "nbytes"}`` here so the engines can
-        #: label the span they emit per execution.  ``None`` (e.g. a
-        #: builder invoked directly in tests) falls back to a generic
-        #: label; execution is identical either way.
-        self.meta: Optional[dict] = None
-        #: Plan key, stamped by the dispatch layer next to ``meta``: op,
-        #: algorithm, root and the signature of every buffer that sizes
-        #: a wire step, equal on every rank.  The fast-path engine
-        #: compiles each shape once per communicator and prices repeat
-        #: instances from the compiled plan.  ``None`` (a builder
-        #: invoked directly) is never interned.
+        #: The user's buffers, slots ``0 .. len(user) - 1``.
+        self.user: List[Payload] = list(user)
+        #: Scratch declarations, one per slot past the user's:
+        #: ``(count, dtype, init ref or None, adoptable)``.
+        self.scratch_specs: List[Tuple] = []
+        #: Plan key of a prebuilt schedule (the dispatch layer passes
+        #: its key to the engine instead); ``None`` is never interned.
         self.shape: Optional[Tuple] = None
 
     def __len__(self) -> int:
@@ -165,6 +240,47 @@ class Schedule:
     def n_rounds(self) -> int:
         return 1 + max((s.round for s in self.steps), default=-1)
 
+    # -- slots ---------------------------------------------------------------
+    def scratch(self, count: int, dtype: Any = np.uint8,
+                init: Union[Ref, Pack, None] = None,
+                adopt: bool = False) -> Ref:
+        """Declare a flat scratch array of ``count`` elements, allocated
+        per instance at bind time.  ``init`` (user buffers) is copied
+        into its start at bind time; ``adopt`` lets a whole-slot receive
+        adopt a private payload instead of copying it in."""
+        self.scratch_specs.append((count, np.dtype(dtype), init, adopt))
+        return Ref(len(self.user) + len(self.scratch_specs) - 1)
+
+    def environment(self) -> List[Any]:
+        """This instance's slots: its user buffers, then fresh scratch
+        arrays."""
+        return new_environment(self.scratch_specs, self.user)
+
+    def nbytes(self, buf: Buf) -> int:
+        """Static payload size of ``buf`` — equal to the size of what
+        it resolves to at any point of any instance."""
+        if buf is None:
+            return 0
+        if buf.__class__ is Pack:
+            return sum(self.nbytes(p) for p in buf.parts)
+        if buf.hi >= 0:
+            return buf.hi - buf.lo
+        n_user = len(self.user)
+        if buf.slot < n_user:
+            b = self.user[buf.slot]
+            return nbytes_of(b) if b is not None else 0
+        count, dtype, _, _ = self.scratch_specs[buf.slot - n_user]
+        return count * dtype.itemsize
+
+    def _ref(self, buf: Any) -> Buf:
+        if buf is None or buf.__class__ in (Ref, Pack):
+            return buf
+        if self.scratch_specs:
+            raise MpiError("a raw payload must precede scratch slots")
+        self.user.append(buf)
+        return Ref(len(self.user) - 1)
+
+    # -- steps ---------------------------------------------------------------
     def _add(self, step: _Step) -> int:
         for d in step.deps:
             if not (0 <= d < len(self.steps)):
@@ -176,7 +292,7 @@ class Schedule:
 
     def send(
         self,
-        buf: LazyBuf,
+        buf: Any,
         peer: int,
         tag: int,
         after: Sequence[int] = (),
@@ -189,21 +305,20 @@ class Schedule:
 
         ``via`` routes the step through a derived communicator's
         context: ``peer`` and ``tag`` are then in *that* communicator's
-        rank and tag space.  ``alias_ok`` marks the payload as a fresh
-        builder-local array whose send-time defensive copy may be
-        elided; ``donate`` additionally gives the array away, letting
-        an :class:`~repro.mpi.datatypes.AdoptBuf` receive adopt it
-        (see :class:`_Step`).
+        rank and tag space.  ``alias_ok`` marks the payload as scratch
+        whose send-time defensive copy may be elided; ``donate``
+        additionally gives the array away to an adopting receive (see
+        :class:`_Step`).
         """
         return self._add(_Step(
-            idx=len(self.steps), kind=_SEND, deps=tuple(after),
-            round=round, peer=peer, tag=tag, buf=buf, via=via,
-            alias_ok=alias_ok or donate, donate=donate,
+            len(self.steps), _SEND, tuple(after), round, peer, tag,
+            buf=self._ref(buf), via=via, alias_ok=alias_ok or donate,
+            donate=donate,
         ))
 
     def recv(
         self,
-        buf: LazyBuf,
+        buf: Any,
         peer: int,
         tag: int,
         after: Sequence[int] = (),
@@ -212,29 +327,41 @@ class Schedule:
     ) -> int:
         """Post a receive into ``buf`` from ``peer`` (``via`` as in
         :meth:`send`)."""
+        ref = self._ref(buf)
+        k = ref.slot - len(self.user) if ref.__class__ is Ref else -1
+        adopt = k >= 0 and ref.hi < 0 and self.scratch_specs[k][3]
         return self._add(_Step(
-            idx=len(self.steps), kind=_RECV, deps=tuple(after),
-            round=round, peer=peer, tag=tag, buf=buf, via=via,
+            len(self.steps), _RECV, tuple(after), round, peer, tag,
+            buf=ref, via=via, adopt=adopt,
         ))
 
-    def compute(
-        self,
-        fn: Callable[[], None],
-        after: Sequence[int] = (),
-        round: int = 0,
-    ) -> int:
-        """Run a local action (combine/copy/pack) — zero simulated time."""
+    def _compute(self, op: Tuple, after: Sequence[int], round: int) -> int:
         return self._add(_Step(
-            idx=len(self.steps), kind=_COMPUTE, deps=tuple(after),
-            round=round, fn=fn,
+            len(self.steps), _COMPUTE, tuple(after), round, op=op,
         ))
+
+    def copy(self, src: Union[Ref, Pack], dst: Union[Ref, Pack],
+             after: Sequence[int] = (), round: int = 0) -> int:
+        """``dst[...] = src``.  Two whole slots copy typed (reshaped to
+        ``dst``; skipped when either is a timing-only payload); anything
+        else copies bytes, a pack ``dst`` taking them part by part."""
+        return self._compute((_COPY, src, dst), after, round)
+
+    def combine(self, op: ReduceOp, a: Ref, b: Ref, dst: Ref,
+                after: Sequence[int] = (), round: int = 0) -> int:
+        """``dst[...] = op(a, b)`` in place, in the slots' dtype."""
+        return self._compute((_COMBINE, op, a, b, dst), after, round)
+
+    def reduce(self, op: ReduceOp, a: Ref, b: Ref, into: Ref,
+               after: Sequence[int] = (), round: int = 0) -> int:
+        """Rebind slot ``into`` to the fresh array ``op(a, b)``."""
+        return self._compute((_REDUCE, op, a, b, into.slot), after, round)
 
     def overhead(self, after: Sequence[int] = (), round: int = 0) -> int:
         """Charge one software-overhead quantum (the degenerate-size
         path every algorithm keeps for P == 1)."""
         return self._add(_Step(
-            idx=len(self.steps), kind=_OVERHEAD, deps=tuple(after),
-            round=round,
+            len(self.steps), _OVERHEAD, tuple(after), round,
         ))
 
     def describe(self) -> str:
@@ -254,6 +381,19 @@ class Schedule:
         return "\n".join(lines)
 
 
+def new_environment(specs, user: Sequence[Payload]) -> List[Any]:
+    """An environment: the ``user`` buffers, then one fresh array per
+    scratch declaration in ``specs``."""
+    env = list(user)
+    for count, dtype, init, _ in specs:
+        arr = np.empty(count, dtype=dtype)
+        if init is not None:
+            src = _u8(payload_array(resolve(env, init)))
+            arr.view(_U8)[: src.size] = src
+        env.append(arr)
+    return env
+
+
 class SubSchedule:
     """A :class:`Schedule` view bound to a derived communicator.
 
@@ -261,10 +401,8 @@ class SubSchedule:
     allgather, broadcast appenders …) a sub-communicator to build
     against: every wire step the builder adds is stamped ``via`` the
     bound context, so its peers and tags live in the sub-communicator
-    while the steps land in the composite parent schedule.  This is how
-    the hierarchical collectives compose intra-domain and inter-domain
-    phases out of the ordinary algorithms instead of hand-rolling rank
-    arithmetic.
+    while the steps land in the composite parent schedule.  Everything
+    else (slots, computes) is the parent's.
     """
 
     def __init__(self, sched: Schedule, via: MpiContext) -> None:
@@ -285,29 +423,28 @@ class SubSchedule:
             via=via if via is not None else self.via,
         )
 
-    def compute(self, fn, after=(), round=0) -> int:
-        return self._sched.compute(fn, after=after, round=round)
-
-    def overhead(self, after=(), round=0) -> int:
-        return self._sched.overhead(after=after, round=round)
-
-    @property
-    def steps(self):
-        return self._sched.steps
-
-    @property
-    def last(self) -> int:
-        return self._sched.last
-
-    @property
-    def n_rounds(self) -> int:
-        return self._sched.n_rounds
-
-    def __len__(self) -> int:
-        return len(self._sched)
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._sched, name)
 
 
-__all__.append("SubSchedule")
+def span_name(shape: Optional[Tuple]) -> str:
+    """A collective's span label from its plan key ``(op, algo, ...)``."""
+    if not shape:
+        return "collective"
+    return f"{shape[0]}[{shape[1]}]" if shape[1] else shape[0]
+
+
+#: Interned per-round span names ("round0", "round1", ...) — every
+#: traced collective emits one span per round, so the f-string is paid
+#: once per distinct round index, not once per span.
+_ROUND_NAMES: List[str] = []
+
+
+def _round_name(rd: int) -> str:
+    names = _ROUND_NAMES
+    while len(names) <= rd:
+        names.append(f"round{len(names)}")
+    return names[rd]
 
 
 class ScheduleEngine:
@@ -318,6 +455,12 @@ class ScheduleEngine:
     to the *first* completion, releasing dependent steps immediately.
     Compute steps run inline the moment they unblock, exactly like the
     numpy combines embedded in the old run-to-completion loops.
+
+    Both entry points take ``build`` — a built :class:`Schedule`, or a
+    zero-argument callable building one over the user buffers ``bufs``
+    — plus the collective's plan key ``shape`` and payload ``nbytes``
+    (span labels; the fast-path engine's plan cache).  This engine
+    builds and binds at issue.
     """
 
     def __init__(self, comm) -> None:
@@ -327,38 +470,44 @@ class ScheduleEngine:
         self.active = 0
 
     # -- public entry points ------------------------------------------------
-    def execute_deferred(
-        self, ctx: MpiContext, shape: Tuple, build: Callable
-    ) -> Generator[Event, Any, None]:
-        """Build ``build(ctx)``'s schedule (of plan key ``shape``) and
-        run it.  The fast-path engine overrides this to build only when
-        the shape has no compiled plan yet."""
-        return self.execute(ctx, build(ctx))
-
-    def start(self, ctx: MpiContext, sched: Schedule, name: str = "") -> Request:
-        """Run ``sched`` in its own process; return a :class:`Request`."""
+    def start(self, ctx: MpiContext, build, shape: Optional[Tuple] = None,
+              bufs: Sequence[Payload] = (), nbytes: int = 0,
+              name: str = "") -> Request:
+        """Run the collective in its own process; return a
+        :class:`Request`."""
         proc = ctx.sim.process(
-            self.execute(ctx, sched),
+            self.execute(ctx, build, shape, bufs, nbytes),
             name=name or f"sched(r{ctx.rank})",
         )
         return Request(proc)
 
-    def execute(
-        self, ctx: MpiContext, sched: Schedule
-    ) -> Generator[Event, Any, None]:
-        """Drive ``sched`` to completion from the calling process."""
+    def execute(self, ctx: MpiContext, build,
+                shape: Optional[Tuple] = None,
+                bufs: Sequence[Payload] = (), nbytes: int = 0,
+                ) -> Generator[Event, Any, None]:
+        """Drive the collective to completion from the calling process.
+
+        Builds and binds now, so build-time state (a scratch copy of
+        the send buffer) is taken at issue even when the returned
+        generator runs later.
+        """
+        sched = build if isinstance(build, Schedule) else build()
+        if shape is None:
+            shape = sched.shape
+        return self._run(ctx, sched, sched.environment(), shape, nbytes)
+
+    def _run(self, ctx, sched, env, shape, nbytes):
         self.active += 1
         try:
-            yield from self._execute(ctx, sched)
+            yield from self._execute(ctx, sched, env, shape, nbytes)
         finally:
             self.active -= 1
 
     def _execute(
-        self, ctx: MpiContext, sched: Schedule
+        self, ctx: MpiContext, sched: Schedule, env: List[Any],
+        shape: Optional[Tuple], nbytes: int,
     ) -> Generator[Event, Any, None]:
         from ...sim.primitives import AnyOf
-
-        import heapq
 
         steps = sched.steps
         n = len(steps)
@@ -373,16 +522,11 @@ class ScheduleEngine:
         rstart: dict = {}
         rend: dict = {}
         if spans is not None:
-            meta = sched.meta or {}
-            track = ctx.comm.span_track(ctx.rank)
-            name = meta.get("op", "collective")
-            if meta.get("algo"):
-                name = f"{name}[{meta['algo']}]"
             sp_coll = spans.begin(
-                ctx.sim.now, name, "collective", track,
+                ctx.sim.now, span_name(shape), "collective",
+                ctx.comm.span_track(ctx.rank),
                 attrs={
-                    "backend": ctx.comm.backend,
-                    "nbytes": meta.get("nbytes", 0),
+                    "backend": ctx.comm.backend, "nbytes": nbytes,
                     "n_rounds": sched.n_rounds, "n_steps": n,
                 },
             )
@@ -412,14 +556,14 @@ class ScheduleEngine:
                 if spans is not None and st.round not in rstart:
                     rstart[st.round] = ctx.sim._now
                 if st.kind == _COMPUTE:
-                    st.fn()
+                    run_op(env, st.op)
                     done += 1
                     if spans is not None:
                         rend[st.round] = ctx.sim._now
                     finish(idx)
                     continue
                 proc = ctx.sim.process(
-                    self._wire_op(ctx, st),
+                    self._wire_op(ctx, st, env),
                     name=f"sched.{st.kind}(r{ctx.rank}:{st.idx})",
                 )
                 running[proc] = idx
@@ -455,7 +599,7 @@ class ScheduleEngine:
 
     # -- step drivers -------------------------------------------------------
     def _wire_op(
-        self, ctx: MpiContext, st: _Step
+        self, ctx: MpiContext, st: _Step, env: List[Any]
     ) -> Generator[Event, Any, Any]:
         # A `via` step runs in a derived communicator's rank/tag space
         # (its own matching stores — tag isolation for free); the wire
@@ -464,12 +608,13 @@ class ScheduleEngine:
         comm = tctx.comm
         if st.kind == _SEND:
             yield from comm._send_impl(
-                tctx.rank, st.peer, st.resolve_buf(), st.tag,
+                tctx.rank, st.peer, resolve(env, st.buf), st.tag,
                 copy=not st.alias_ok, donate=st.donate,
             )
         elif st.kind == _RECV:
             status = yield from comm._recv_impl(
-                tctx.rank, st.peer, st.resolve_buf(), st.tag
+                tctx.rank, st.peer, resolve(env, st.buf), st.tag,
+                env if st.adopt else None, st.buf.slot if st.adopt else 0,
             )
             return status
         elif st.kind == _OVERHEAD:

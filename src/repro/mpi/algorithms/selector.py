@@ -5,12 +5,10 @@ geometry (bytes per rank, communicator size) plus — for the collectives
 that have a hierarchical variant — whether the communicator's placement
 makes the hierarchy worthwhile (``hier_ok``: equal locality groups on
 an oversubscribed fabric, fragmented ring order).  It returns the
-*name* of the algorithm to run; the registries map names to
-implementations: :data:`ALGORITHMS` holds the blocking generator entry
-points, :data:`SCHEDULES` the ``build_*`` functions producing the
-round-based :class:`~repro.mpi.algorithms.schedule.Schedule` that both
-the blocking and the nonblocking (``ibcast``/``iallreduce``/…) paths
-execute.  The thresholds live in
+*name* of the algorithm to run; :data:`SCHEDULES` maps names to the
+``build_*`` functions producing the round-based
+:class:`~repro.mpi.algorithms.schedule.Schedule` that both the blocking
+and the nonblocking (``ibcast``/``iallreduce``/…) paths execute.  The thresholds live in
 :class:`~repro.mpi.algorithms.tuning.CollectiveTuning` — autotuned per
 cluster by :mod:`repro.mpi.algorithms.autotune` unless the user pins
 their own — and are plumbed through both the raw-MPI layer
@@ -50,14 +48,12 @@ from .hierarchical import (
     build_alltoall_hierarchical,
 )
 from .reduce import build_reduce_binomial, build_reduce_rabenseifner
-from .schedule import blocking
 from .tuning import CollectiveTuning
 
-__all__ = ["ALGORITHMS", "SCHEDULES", "AlgorithmSelector"]
+__all__ = ["SCHEDULES", "AlgorithmSelector"]
 
 #: Registry: collective → {algorithm name → schedule builder}; what the
-#: nonblocking collectives hand to the progress engine, and the single
-#: source of truth the blocking registry below derives from.
+#: dispatch layer hands to the progress engine.
 SCHEDULES: Dict[str, Dict[str, Callable]] = {
     "allreduce": {
         "reduce_bcast": build_allreduce_reduce_bcast,
@@ -88,13 +84,6 @@ SCHEDULES: Dict[str, Dict[str, Callable]] = {
     },
 }
 
-#: Registry: collective → {algorithm name → blocking implementation} —
-#: derived from :data:`SCHEDULES`, so the two can never diverge.
-ALGORITHMS: Dict[str, Dict[str, Callable]] = {
-    coll: {name: blocking(b) for name, b in menu.items()}
-    for coll, menu in SCHEDULES.items()
-}
-
 
 class AlgorithmSelector:
     """Picks a collective algorithm from (message size × communicator
@@ -106,10 +95,10 @@ class AlgorithmSelector:
     def _forced(self, coll: str, name: Optional[str]) -> Optional[str]:
         if name is None:
             return None
-        if name not in ALGORITHMS[coll]:
+        if name not in SCHEDULES[coll]:
             raise MpiError(
                 f"unknown {coll} algorithm {name!r}; "
-                f"choose from {sorted(ALGORITHMS[coll])}"
+                f"choose from {sorted(SCHEDULES[coll])}"
             )
         return name
 

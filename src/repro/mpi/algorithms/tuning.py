@@ -123,7 +123,7 @@ class CollectiveTuning:
     #: keeps eager puts longer.
     rma_eager_max_bytes: int = 8 * _KB
 
-    #: Pin an algorithm by name (see ``ALGORITHMS`` in
+    #: Pin an algorithm by name (see ``SCHEDULES`` in
     #: :mod:`repro.mpi.algorithms.selector`); ``None`` = size-adaptive.
     force_allreduce: Optional[str] = None
     force_allgather: Optional[str] = None

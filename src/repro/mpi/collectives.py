@@ -28,7 +28,7 @@ issue time, so mixed blocking/nonblocking sequences stay aligned.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,18 +70,24 @@ from .communicator import MpiContext, Request
 
 
 # ---------------------------------------------------------------------------
-# Schedule-building dispatch helpers (shared by blocking and nonblocking)
+# Dispatch helpers (shared by blocking and nonblocking)
 # ---------------------------------------------------------------------------
 
-def _with_meta(sched, op: str, algo: str, nbytes: int, *sig):
-    """Stamp collective identity on a built schedule: ``meta`` labels
-    the span the engines emit, ``shape`` = ``(op, algo, *sig)`` keys
-    the fast path's compiled plans.  ``sig`` must cover every input
-    that shapes the per-rank DAGs and their message sizes (root,
-    buffer signatures) and be equal on every rank."""
-    sched.meta = {"op": op, "algo": algo, "nbytes": nbytes}
-    sched.shape = (op, algo) + sig
-    return sched
+def _call(ctx, coll: str, algo: str, nbytes: int, key: Tuple,
+          bufs: Tuple, builder: Callable, *args, **kwargs) -> Tuple:
+    """What an engine runs: ``(build, shape, bufs, nbytes)``.
+
+    ``build()`` builds this rank's schedule over the user buffers
+    ``bufs`` (slots ``0 .. len(bufs) - 1``, in the builder's order);
+    the fast path calls it only when the plan key ``shape = (coll,
+    algo, *key)`` has no plan yet.  ``key`` must cover every input that
+    shapes the per-rank DAGs, their message sizes and their computes
+    (root, reduce op, buffer signatures), and be equal on every rank.
+    """
+    return (
+        lambda: builder(ctx, *args, **kwargs), (coll, algo) + key, bufs,
+        nbytes,
+    )
 
 
 def _sig(buf: Payload):
@@ -91,31 +97,20 @@ def _sig(buf: Payload):
     return buf if arr is None else (arr.dtype.str, arr.shape)
 
 
-#: Plan key of every dissemination barrier (blocking or not).
-_BARRIER_SHAPE = ("barrier", "dissemination")
-
-
-def _barrier_schedule(ctx: MpiContext):
-    return _with_meta(
-        build_barrier_dissemination(ctx), "barrier", "dissemination", 0
-    )
-
-
-def _build_barrier(ctx: MpiContext):
+def _barrier(ctx: MpiContext) -> Tuple:
     ctx.comm._count("barrier")
-    return _barrier_schedule(ctx)
+    return _call(ctx, "barrier", "dissemination", 0, (), (),
+                 build_barrier_dissemination)
 
 
-def _build_bcast(ctx: MpiContext, buf: Payload, root: int):
+def _bcast(ctx: MpiContext, buf: Payload, root: int) -> Tuple:
     ctx.comm._count("bcast")
     ctx.comm._check_rank(root)
     nbytes = nbytes_of(buf) if buf is not None else 0
     algo = ctx.comm.selector.bcast(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
     ctx.comm._count(f"bcast[{algo}]")
-    return _with_meta(
-        SCHEDULES["bcast"][algo](ctx, buf, root=root), "bcast", algo, nbytes,
-        root, _sig(buf),
-    )
+    return _call(ctx, "bcast", algo, nbytes, (root, _sig(buf)), (buf,),
+                 SCHEDULES["bcast"][algo], buf, root=root)
 
 
 def _check_reduce_op(op: ReduceOp, what: str) -> None:
@@ -129,46 +124,55 @@ def _check_reduce_op(op: ReduceOp, what: str) -> None:
         )
 
 
-def _build_reduce(
+def _reduce(
     ctx: MpiContext,
     sendbuf: Payload,
     recvbuf: Optional[Payload],
     op: ReduceOp,
     root: int,
-):
+) -> Tuple:
     ctx.comm._count("reduce")
     ctx.comm._check_rank(root)
     _check_reduce_op(op, "reduce")
     nbytes = nbytes_of(sendbuf) if sendbuf is not None else 0
     algo = ctx.comm.selector.reduce(nbytes, ctx.size)
     ctx.comm._count(f"reduce[{algo}]")
-    return _with_meta(
-        SCHEDULES["reduce"][algo](ctx, sendbuf, recvbuf, op=op, root=root),
-        "reduce", algo, nbytes, root, _sig(sendbuf),
-    )
+    # Only the root's receive buffer takes part.
+    recv = recvbuf if ctx.rank == root else None
+    return _call(ctx, "reduce", algo, nbytes, (root, _sig(sendbuf), op),
+                 (sendbuf, recv), SCHEDULES["reduce"][algo], sendbuf, recv,
+                 op=op, root=root)
 
 
-def _build_allreduce(
+def _allreduce(
     ctx: MpiContext, sendbuf: Payload, recvbuf: Payload, op: ReduceOp
-):
-    ctx.comm._count("allreduce")
+) -> Tuple:
+    comm = ctx.comm
+    comm._count("allreduce")
     _check_reduce_op(op, "allreduce")
     if payload_array(recvbuf) is None:
         raise MpiError("allreduce requires a recv buffer on every rank")
     nbytes = nbytes_of(sendbuf) if sendbuf is not None else 0
-    algo = ctx.comm.selector.allreduce(
-        nbytes, ctx.size, hier_ok=_hier_ok(ctx)
-    )
-    ctx.comm._count(f"allreduce[{algo}]")
-    return _with_meta(
-        SCHEDULES["allreduce"][algo](ctx, sendbuf, recvbuf, op),
-        "allreduce", algo, nbytes, _sig(sendbuf), _sig(recvbuf),
-    )
+    algo = comm.selector.allreduce(nbytes, ctx.size, hier_ok=_hier_ok(ctx))
+    comm._count(f"allreduce[{algo}]")
+    kwargs = {}
+    if algo == "reduce_bcast":
+        # The composed legs count and select like standalone calls.
+        comm._count("reduce")
+        comm._count("bcast")
+        kwargs["bcast_algo"] = leg = comm.selector.bcast(
+            nbytes_of(recvbuf), ctx.size, hier_ok=_hier_ok(ctx)
+        )
+        comm._count(f"bcast[{leg}]")
+    return _call(ctx, "allreduce", algo, nbytes,
+                 (_sig(sendbuf), _sig(recvbuf), op), (sendbuf, recvbuf),
+                 SCHEDULES["allreduce"][algo], sendbuf, recvbuf, op,
+                 **kwargs)
 
 
-def _build_allgather(
+def _allgather(
     ctx: MpiContext, sendbuf: Payload, recvbufs: AllgatherRecv
-):
+) -> Tuple:
     ctx.comm._count("allgather")
     if isinstance(recvbufs, np.ndarray):
         # MPI_Allgather's own layout: row r receives rank r's block.
@@ -201,17 +205,19 @@ def _build_allgather(
         block, ctx.size, uniform=uniform, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"allgather[{algo}]")
-    return _with_meta(
-        SCHEDULES["allgather"][algo](ctx, sendbuf, recvbufs),
-        "allgather", algo, block * ctx.size, blocks,
+    bufs = (
+        (sendbuf, recvbufs) if isinstance(recvbufs, np.ndarray)
+        else (sendbuf, *recvbufs)
     )
+    return _call(ctx, "allgather", algo, block * ctx.size, (blocks,), bufs,
+                 SCHEDULES["allgather"][algo], sendbuf, recvbufs)
 
 
-def _build_alltoall(
+def _alltoall(
     ctx: MpiContext,
     sendbufs: Sequence[Payload],
     recvbufs: Sequence[Payload],
-):
+) -> Tuple:
     ctx.comm._count("alltoall")
     if len(sendbufs) != ctx.size or len(recvbufs) != ctx.size:
         raise MpiError("alltoall needs one send and recv buffer per rank")
@@ -225,10 +231,9 @@ def _build_alltoall(
         block, ctx.size, uniform=uniform, hier_ok=_hier_ok(ctx)
     )
     ctx.comm._count(f"alltoall[{algo}]")
-    return _with_meta(
-        SCHEDULES["alltoall"][algo](ctx, sendbufs, recvbufs),
-        "alltoall", algo, block * ctx.size, tuple(sizes),
-    )
+    return _call(ctx, "alltoall", algo, block * ctx.size, (tuple(sizes),),
+                 (*sendbufs, *recvbufs), SCHEDULES["alltoall"][algo],
+                 sendbufs, recvbufs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +241,8 @@ def _build_alltoall(
 # ---------------------------------------------------------------------------
 
 def barrier(ctx: MpiContext) -> Generator[Event, Any, None]:
-    """Dissemination barrier (the engine may defer the DAG build)."""
-    ctx.comm._count("barrier")
-    yield from ctx.comm.engine.execute_deferred(
-        ctx, _BARRIER_SHAPE, _barrier_schedule
-    )
+    """Dissemination barrier."""
+    yield from ctx.comm.engine.execute(ctx, *_barrier(ctx))
 
 
 def bcast(
@@ -249,7 +251,7 @@ def bcast(
     """Topology-adaptive broadcast (binomial tree, domain-leader
     hierarchical on fragmented oversubscribed fabrics, or segmented
     pipeline for large payloads)."""
-    yield from ctx.comm.engine.execute(ctx, _build_bcast(ctx, buf, root))
+    yield from ctx.comm.engine.execute(ctx, *_bcast(ctx, buf, root))
 
 
 def reduce(
@@ -262,7 +264,7 @@ def reduce(
     """Size-adaptive reduction to ``root`` (binomial tree, or
     Rabenseifner reduce-scatter + gather for large vectors)."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_reduce(ctx, sendbuf, recvbuf, op, root)
+        ctx, *_reduce(ctx, sendbuf, recvbuf, op, root)
     )
 
 
@@ -274,7 +276,7 @@ def allreduce(
 ) -> Generator[Event, Any, None]:
     """Size-adaptive allreduce (see :mod:`repro.mpi.algorithms`)."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_allreduce(ctx, sendbuf, recvbuf, op)
+        ctx, *_allreduce(ctx, sendbuf, recvbuf, op)
     )
 
 
@@ -292,7 +294,7 @@ def allgather(
     which may differ in size (the vector variant, MPI_Allgatherv).
     """
     yield from ctx.comm.engine.execute(
-        ctx, _build_allgather(ctx, sendbuf, recvbufs)
+        ctx, *_allgather(ctx, sendbuf, recvbufs)
     )
 
 
@@ -303,7 +305,7 @@ def alltoall(
 ) -> Generator[Event, Any, None]:
     """Schedule-adaptive all-to-all (shift, pairwise, or Bruck)."""
     yield from ctx.comm.engine.execute(
-        ctx, _build_alltoall(ctx, sendbufs, recvbufs)
+        ctx, *_alltoall(ctx, sendbufs, recvbufs)
     )
 
 
@@ -314,14 +316,14 @@ def alltoall(
 def ibarrier(ctx: MpiContext) -> Request:
     """Nonblocking dissemination barrier."""
     return ctx.comm.engine.start(
-        ctx, _build_barrier(ctx), name=f"ibarrier(r{ctx.rank})"
+        ctx, *_barrier(ctx), name=f"ibarrier(r{ctx.rank})"
     )
 
 
 def ibcast(ctx: MpiContext, buf: Payload, root: int = 0) -> Request:
     """Nonblocking broadcast (same schedules as ``bcast``)."""
     return ctx.comm.engine.start(
-        ctx, _build_bcast(ctx, buf, root), name=f"ibcast(r{ctx.rank})"
+        ctx, *_bcast(ctx, buf, root), name=f"ibcast(r{ctx.rank})"
     )
 
 
@@ -334,7 +336,7 @@ def ireduce(
 ) -> Request:
     """Nonblocking reduction to ``root``."""
     return ctx.comm.engine.start(
-        ctx, _build_reduce(ctx, sendbuf, recvbuf, op, root),
+        ctx, *_reduce(ctx, sendbuf, recvbuf, op, root),
         name=f"ireduce(r{ctx.rank})",
     )
 
@@ -347,7 +349,7 @@ def iallreduce(
 ) -> Request:
     """Nonblocking allreduce (same schedules as ``allreduce``)."""
     return ctx.comm.engine.start(
-        ctx, _build_allreduce(ctx, sendbuf, recvbuf, op),
+        ctx, *_allreduce(ctx, sendbuf, recvbuf, op),
         name=f"iallreduce(r{ctx.rank})",
     )
 
@@ -357,7 +359,7 @@ def iallgather(
 ) -> Request:
     """Nonblocking allgather (``recvbufs`` as in :func:`allgather`)."""
     return ctx.comm.engine.start(
-        ctx, _build_allgather(ctx, sendbuf, recvbufs),
+        ctx, *_allgather(ctx, sendbuf, recvbufs),
         name=f"iallgather(r{ctx.rank})",
     )
 
@@ -369,7 +371,7 @@ def ialltoall(
 ) -> Request:
     """Nonblocking all-to-all."""
     return ctx.comm.engine.start(
-        ctx, _build_alltoall(ctx, sendbufs, recvbufs),
+        ctx, *_alltoall(ctx, sendbufs, recvbufs),
         name=f"ialltoall(r{ctx.rank})",
     )
 

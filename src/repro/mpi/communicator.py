@@ -41,7 +41,9 @@ from ..hw.cluster import Cluster
 from ..hw.memory import HostBuffer, nbytes_of
 from ..sim.core import Event, Process, Simulator, us
 from ..sim.stores import FilterStore
-from .datatypes import AdoptBuf, Payload, ReduceOp, payload_array, snapshot
+from .datatypes import (
+    HEADER_BYTES, Payload, ReduceOp, payload_array, snapshot,
+)
 from .errors import MpiError, RankError, TagError, TruncationError
 from .group import Group, UNDEFINED
 from .status import ANY_SOURCE, ANY_TAG, Status
@@ -54,9 +56,6 @@ __all__ = [
     "COMM_TYPE_NODE",
     "COMM_TYPE_LOCALITY",
 ]
-
-#: Size of protocol headers on the wire (match/envelope data).
-HEADER_BYTES = 64
 
 #: User tags must be below this; collectives use the space above it.
 INTERNAL_TAG_BASE = 1 << 20
@@ -81,7 +80,7 @@ class _WireMsg:
     #: rendezvous: sender fires this (with the data) after the payload lands.
     payload_arrived: Optional[Event] = None
     #: the payload array is private to the wire (defensive copy or a
-    #: donated builder-local array) — the receiver may adopt it outright.
+    #: donated schedule scratch array) — the receiver may adopt it outright.
     private: bool = False
     #: observability: sid of the sender's span, so the receiver's wait
     #: span can link to it (critical-path edge across tracks).
@@ -791,7 +790,11 @@ class Communicator:
         src: int,
         buf: Payload,
         tag: int,
+        env: Optional[List[Any]] = None,
+        slot: int = 0,
     ) -> Generator[Event, Any, Status]:
+        """Match and land one message in ``buf`` (``env``/``slot``: an
+        adoptable schedule slot, see :meth:`_deliver`)."""
         self._ensure_alive()
         self._inflight_ops += 1
         spans = self.sim.spans
@@ -856,36 +859,41 @@ class Communicator:
                     data = yield msg.payload_arrived
             else:
                 data = msg.data
-            self._deliver(buf, data, msg.private, self.sim.stats)
+            self._deliver(buf, data, msg.private, self.sim.stats, env, slot)
             return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
         finally:
             self._inflight_ops -= 1
 
     @staticmethod
     def _deliver(
-        buf: Payload, data: Optional[np.ndarray], private: bool, stats
+        buf: Payload, data: Optional[np.ndarray], private: bool, stats,
+        env: Optional[List[Any]] = None, slot: int = 0,
     ) -> None:
         """Land a matched payload in the receive buffer ``buf``.
 
-        A private payload (a send-time snapshot, or a donated array) is
-        adopted outright by an :class:`AdoptBuf` receive, with no
-        delivery copy (``stats.payload_adopted``); anything else is
-        copied in.  The exact matcher and the fast path both land
-        payloads here.
+        A private payload (a send-time snapshot, or a donated array)
+        is adopted outright when the receive names an adoptable
+        schedule slot (``env[slot]``, which is ``buf``): the slot is
+        rebound to the in-flight array, with no delivery copy
+        (``stats.payload_adopted``).  Anything else is copied in.  The
+        exact matcher and the fast path both land payloads here.
         """
+        if data is None:
+            return
         if (
-            private
-            and data is not None
-            and isinstance(buf, AdoptBuf)
-            and buf.adopt(data)
+            env is not None
+            and private
+            and data.nbytes == buf.nbytes
+            and data.flags.c_contiguous
         ):
+            if data.dtype != buf.dtype or data.shape != buf.shape:
+                data = data.reshape(-1).view(buf.dtype).reshape(buf.shape)
+            env[slot] = data
             stats.payload_adopted += 1
             return
         arr = payload_array(buf)
         if arr is None:
             return  # timing-only receive
-        if data is None:
-            return
         dview = arr.view(np.uint8).reshape(-1)
         sview = data.view(np.uint8).reshape(-1)
         if sview.size > dview.size:

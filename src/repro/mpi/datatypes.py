@@ -9,50 +9,12 @@ import numpy as np
 
 from ..hw.memory import HostBuffer
 
-__all__ = ["ReduceOp", "AdoptBuf", "payload_array", "snapshot"]
+__all__ = ["HEADER_BYTES", "ReduceOp", "payload_array", "snapshot"]
 
 Payload = Union[np.ndarray, HostBuffer, int, None]
 
-
-class AdoptBuf:
-    """A staging receive buffer the matcher may *adopt into*.
-
-    Schedule builders use these for receives whose target is a fresh,
-    builder-private staging array that downstream steps only ever
-    read (recursive-doubling packs, combine temporaries, Bruck
-    rotations).  When the matched message's payload array is private —
-    the sender made a defensive copy, or marked the send ``donate`` —
-    the receive may *rebind* :attr:`arr` to the in-flight array instead
-    of memcpying it, eliding the delivery copy entirely.  Consumers
-    must therefore read the array through ``.arr`` at use time, never
-    capture it at build time.
-    """
-
-    __slots__ = ("arr",)
-
-    def __init__(self, template: Union[int, np.ndarray]) -> None:
-        if isinstance(template, (int, np.integer)):
-            self.arr = np.empty(int(template), dtype=np.uint8)
-        else:
-            self.arr = np.empty_like(template)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.arr.nbytes)
-
-    def adopt(self, data: np.ndarray) -> bool:
-        """Rebind to ``data`` if it is layout-compatible; False = the
-        caller must fall back to a delivery copy."""
-        want = self.arr
-        if data.nbytes != want.nbytes or not data.flags.c_contiguous:
-            return False
-        if data.dtype != want.dtype or data.shape != want.shape:
-            try:
-                data = data.reshape(-1).view(want.dtype).reshape(want.shape)
-            except (ValueError, TypeError):  # pragma: no cover - defensive
-                return False
-        self.arr = data
-        return True
+#: Size of protocol headers on the wire (match/envelope data).
+HEADER_BYTES = 64
 
 
 class ReduceOp(enum.Enum):
@@ -100,14 +62,12 @@ class ReduceOp(enum.Enum):
 
 def payload_array(obj: Payload) -> Optional[np.ndarray]:
     """The ndarray behind a payload, or None for timing-only payloads."""
+    if isinstance(obj, np.ndarray):
+        return obj
     if obj is None or isinstance(obj, (int, np.integer)):
         return None
     if isinstance(obj, HostBuffer):
         return obj.data
-    if isinstance(obj, AdoptBuf):
-        return obj.arr
-    if isinstance(obj, np.ndarray):
-        return obj
     raise TypeError(f"unsupported payload type {type(obj)}")
 
 
@@ -117,8 +77,8 @@ def snapshot(obj: Payload, copy: bool = True) -> Optional[np.ndarray]:
     ``copy=False`` elides the defensive copy and ships the array
     itself.  Only safe when the caller *proves* the buffer cannot be
     mutated between injection and delivery — schedule steps marked
-    ``alias_ok`` (fresh builder-local staging arrays, rebound
-    accumulators) qualify; user-owned buffers never do.
+    ``alias_ok`` (schedule scratch, rebound accumulators) qualify;
+    user-owned buffers never do.
     """
     arr = payload_array(obj)
     if arr is None:

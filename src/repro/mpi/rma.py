@@ -55,8 +55,8 @@ or ``"pricing"``, host-window operations stop spawning per-op wire
 processes: each op is priced at issue time against per-node *cursors*
 (the origin's NIC injection path and the target's staging channel, the
 two serialization points of the exact model), with every wire leg's
-end-to-end time interned in a ``(src, dst, nbytes)`` cache
-(``sim.stats.wire_cost_hits``/``wire_cost_misses``).  The resulting
+end-to-end time interned by the interconnect
+(``Interconnect.wire_time``).  The resulting
 epoch is a per-(origin, target) batch of finish times committed at the
 synchronization point — ``fence``/``complete``/``unlock``/``flush``
 wait for one computed instant per pair instead of joining a process
@@ -232,8 +232,8 @@ class Window:
             self._an_fins: List[Dict[int, float]] = [
                 dict() for _ in range(size)
             ]
-            #: Interned end-to-end wire times (src, dst, nbytes) → s.
-            self._wt_cache: Dict[Tuple[int, int, int], float] = {}
+            #: Interned end-to-end wire time of one leg (src, dst, B).
+            self._wt = comm.cluster.interconnect.wire_time
             self._an_max_fin = 0.0
         comm._windows.append(self)
         comm._count("win_create")
@@ -448,21 +448,6 @@ class Window:
         """Host-window targets price analytically; device windows keep
         the exact per-op path (PCIe contention)."""
         return self._an and self._device[target] is None
-
-    def _wt(self, src_node: int, dst_node: int, nbytes: int) -> float:
-        """Interned uncontended end-to-end wire time of one leg."""
-        key = (src_node, dst_node, nbytes)
-        cost = self._wt_cache.get(key)
-        stats = self.sim.stats
-        if cost is None:
-            stats.wire_cost_misses += 1
-            cost = self.comm.cluster.interconnect.wire_time(
-                src_node, dst_node, nbytes
-            )
-            self._wt_cache[key] = cost
-        else:
-            stats.wire_cost_hits += 1
-        return cost
 
     def _leg(self, src_node: int, dst_node: int, nbytes: int,
              t: float) -> float:

@@ -40,16 +40,17 @@ Counter glossary
     ``heap_merged_events / heap_merges`` is the mean merge batch size.
 ``payload_adopted``
     Receives that adopted the in-flight message array outright instead
-    of memcpying it into a staging buffer (schedule-internal receives
-    whose sender donated a private payload).  The exact matcher and the
-    fast path's data program count it in the same place
-    (``Communicator._deliver``).
+    of memcpying it in: a schedule receive into an adoptable scratch
+    slot, whose sender donated a private payload, rebinds the slot to
+    the array.  The exact matcher and the fast path's data program
+    count it in the same place (``Communicator._deliver``).  The name
+    stays because the repository benchmark reads it.
 ``wire_cost_hits`` / ``wire_cost_misses``
-    Interned-wire-cost cache hits vs. analytic cost-model evaluations
-    in the fast-path backends (collectives and RMA pricing) — the hit
-    rate is the fast path's memoization health.  Collectives look wire
-    costs up only when they compile a plan, so a plan hit counts
-    neither.
+    Lookups of the uncontended wire-time memo, one per interconnect
+    (``Interconnect.wire_time``), that the fast-path pricers
+    (collectives and RMA) share: hits vs. cost-model evaluations.
+    Collectives look wire costs up only when they compile a plan, so a
+    plan hit counts neither.
 ``fastpath_rma_ops``
     One-sided operations priced analytically instead of simulated.
 ``serve_jobs`` / ``serve_backfills`` / ``serve_requests``

@@ -13,7 +13,7 @@ from repro.mpi import (
     ReduceOp,
     block_placement,
 )
-from repro.mpi.algorithms.schedule import Schedule
+from repro.mpi.algorithms.schedule import Ref, Schedule
 from repro.sim import Simulator
 
 KB = 1024
@@ -34,22 +34,22 @@ def make_job(n_ranks, n_nodes=None, tuning=None, backend="exact"):
 
 class TestScheduleIR:
     def test_dependencies_must_exist(self):
-        sched = Schedule()
+        sched = Schedule(np.zeros(1), np.zeros(1))
         with pytest.raises(MpiError, match="unknown step"):
-            sched.compute(lambda: None, after=(3,))
+            sched.copy(Ref(0), Ref(1), after=(3,))
 
     def test_rounds_and_describe(self):
-        sched = Schedule()
+        sched = Schedule(np.zeros(1), np.zeros(1))
         a = sched.send(None, 1, 5, round=0)
         b = sched.recv(None, 1, 5, round=0)
-        sched.compute(lambda: None, after=(a, b), round=1)
+        sched.copy(Ref(0), Ref(1), after=(a, b), round=1)
         assert sched.n_rounds == 2
         text = sched.describe()
         assert "round 0" in text and "round 1" in text
 
     def test_lazy_buffers_resolve_at_step_start(self):
-        """A send whose payload is a callable reads the state left by
-        the compute step it depends on, not build-time state."""
+        """A send of a slot reads the state left by the compute step it
+        depends on, not build-time state."""
         sim, job = make_job(2)
         out = {}
 
@@ -57,23 +57,18 @@ class TestScheduleIR:
             from repro.mpi.algorithms.base import next_tag
 
             tag = next_tag(ctx)
-            sched = Schedule()
             if ctx.rank == 0:
-                state = {"payload": np.zeros(8, dtype=np.int64)}
-                c = sched.compute(
-                    lambda: state.__setitem__(
-                        "payload", np.arange(8, dtype=np.int64)
-                    )
-                )
-                sched.send(lambda: state["payload"], 1, tag, after=(c,))
+                sched = Schedule(np.zeros(8, dtype=np.int64),
+                                 np.arange(8, dtype=np.int64))
+                c = sched.copy(Ref(1), Ref(0))
+                sched.send(Ref(0), 1, tag, after=(c,))
+                yield from ctx.comm.engine.execute(ctx, sched)
             else:
                 buf = np.zeros(8, dtype=np.int64)
-                r = sched.recv(buf, 0, tag)
-                sched.compute(
-                    lambda: out.__setitem__("got", buf.copy()),
-                    after=(r,),
-                )
-            yield from ctx.comm.engine.execute(ctx, sched)
+                sched = Schedule(buf)
+                sched.recv(Ref(0), 0, tag)
+                yield from ctx.comm.engine.execute(ctx, sched)
+                out["got"] = buf.copy()
 
         job.start(prog)
         job.run()

@@ -16,7 +16,7 @@
 
 Each algorithm is a ``build_*`` function compiling to a round-based
 :class:`~repro.mpi.algorithms.schedule.Schedule`.  ``recvbufs`` comes in
-two layouts (see ``collectives.allgather``):
+two layouts (see ``MpiContext.allgather``):
 
 * one C-contiguous ``(P, ...)`` array — every rank's block sits in
   place, so recursive doubling and Bruck send assembled runs as views
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..datatypes import Payload, payload_array
 from ..errors import MpiError
-from .base import is_pof2, next_tag
+from .base import is_pof2
 from .schedule import Pack, Ref, Schedule
 
 #: Receive layout: one C-contiguous ``(P, ...)`` array, or P buffers.
@@ -72,14 +72,15 @@ def build_allgather_ring(
     ctx,
     sendbuf: Payload,
     recvbufs: AllgatherRecv,
+    *,
+    tag: int,
 ) -> Schedule:
     """Ring allgather: P−1 steps, each forwarding one block.
 
     Buffer-count validation happens once at the dispatch layer
-    (``collectives.allgather``).
+    (``collectives.dispatch_allgather``).
     """
     sched, recv_of = _schedule(sendbuf, recvbufs)
-    tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
     deps = [sched.copy(Ref(0), recv_of(rank))]
     if size == 1:
@@ -137,6 +138,8 @@ def build_allgather_recursive_doubling(
     ctx,
     sendbuf: Payload,
     recvbufs: AllgatherRecv,
+    *,
+    tag: int,
 ) -> Schedule:
     """Recursive-doubling allgather (power-of-two P, equal blocks).
 
@@ -153,7 +156,6 @@ def build_allgather_recursive_doubling(
     if not is_pof2(size):
         raise MpiError("recursive-doubling allgather needs power-of-two P")
     sched, recv_of = _schedule(sendbuf, recvbufs)
-    tag = next_tag(ctx)
     deps = [sched.copy(Ref(0), recv_of(rank))]
     if size == 1:
         sched.overhead(after=deps)
@@ -207,6 +209,8 @@ def build_allgather_bruck(
     ctx,
     sendbuf: Payload,
     recvbufs: AllgatherRecv,
+    *,
+    tag: int,
 ) -> Schedule:
     """Bruck allgather (any P, equal blocks): ⌈log2 P⌉ rounds.
 
@@ -233,7 +237,6 @@ def build_allgather_bruck(
     if not ok:
         raise MpiError("bruck allgather needs equal-size recv blocks")
     sched, recv_of = _schedule(sendbuf, recvbufs)
-    tag = next_tag(ctx)
     # Row 0 is this rank's own block, copied in at bind time.
     work = sched.scratch(size * block, init=Ref(0))
     deps: List[int] = []

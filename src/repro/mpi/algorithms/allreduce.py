@@ -29,7 +29,8 @@ from typing import List
 
 from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
-from .base import largest_pof2, next_tag
+from .base import largest_pof2
+from .reduce import OP, append_reduce_binomial
 from .schedule import Ref, Schedule
 
 __all__ = [
@@ -41,15 +42,15 @@ __all__ = [
 ]
 
 
-def _setup(ctx, sendbuf: Payload, recvbuf: Payload):
+def _setup(ctx, sendbuf: Payload, recvbuf: Payload, op: ReduceOp):
     """Validate the buffers; return the send array and the schedule
-    over ``(sendbuf, recvbuf)``."""
+    over ``(sendbuf, recvbuf, op)``."""
     src = payload_array(sendbuf)
     if src is None:
         raise MpiError("allreduce requires an array payload")
     if payload_array(recvbuf) is None:
         raise MpiError("allreduce requires a recv buffer on every rank")
-    return src, Schedule(sendbuf, recvbuf)
+    return src, Schedule(sendbuf, recvbuf, op)
 
 
 def build_allreduce_reduce_bcast(
@@ -58,6 +59,8 @@ def build_allreduce_reduce_bcast(
     recvbuf: Payload,
     op: ReduceOp = ReduceOp.SUM,
     bcast_algo: str = "binomial",
+    *,
+    tag: int,
 ) -> Schedule:
     """Reduce to rank 0, then broadcast (the seed's fixed algorithm).
 
@@ -67,19 +70,19 @@ def build_allreduce_reduce_bcast(
     the old generator composition byte for byte.
     """
     from .bcast import append_bcast
-    from .reduce import append_reduce_binomial
 
-    _, sched = _setup(ctx, sendbuf, recvbuf)
+    _, sched = _setup(ctx, sendbuf, recvbuf, op)
     send, recv = Ref(0), Ref(1)
     ends = append_reduce_binomial(
         sched, ctx, send, recv if ctx.rank == 0 else None,
-        op=op, root=0, after=(),
+        op=OP, root=0, after=(), tag=tag,
     )
     # The bcast leg's rounds start past the reduce leg's on EVERY rank:
     # the offset is the binomial tree's global depth, not this rank's
-    # own round count (a leaf's reduce part is a single round).
+    # own round count (a leaf's reduce part is a single round).  Its
+    # tags start at offset 2, past the reduce's offset 0.
     append_bcast(bcast_algo, sched, ctx, recv, root=0, after=ends,
-                 round0=(ctx.size - 1).bit_length())
+                 round0=(ctx.size - 1).bit_length(), tag=tag + 2)
     return sched
 
 
@@ -88,6 +91,8 @@ def build_allreduce_recursive_doubling(
     sendbuf: Payload,
     recvbuf: Payload,
     op: ReduceOp = ReduceOp.SUM,
+    *,
+    tag: int,
 ) -> Schedule:
     """Recursive-doubling allreduce (MPICH small-message algorithm).
 
@@ -97,7 +102,7 @@ def build_allreduce_recursive_doubling(
     accumulator slot is rebound by every combine, never written in
     place.
     """
-    src, sched = _setup(ctx, sendbuf, recvbuf)
+    src, sched = _setup(ctx, sendbuf, recvbuf, op)
     size, rank = ctx.size, ctx.rank
     out = Ref(1)
     acc = sched.scratch(src.size, src.dtype, init=Ref(0))
@@ -105,7 +110,6 @@ def build_allreduce_recursive_doubling(
         sched.overhead()
         sched.copy(acc, out, after=(sched.last,))
         return sched
-    tag = next_tag(ctx)
     pof2 = largest_pof2(size)
     rem = size - pof2
     deps: List[int] = []
@@ -121,7 +125,7 @@ def build_allreduce_recursive_doubling(
         else:
             tmp0 = sched.scratch(src.size, src.dtype, adopt=True)
             r = sched.recv(tmp0, rank - 1, tag + 4)
-            deps = [sched.reduce(op, tmp0, acc, into=acc, after=(r,))]
+            deps = [sched.reduce(OP, tmp0, acc, into=acc, after=(r,))]
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -142,7 +146,7 @@ def build_allreduce_recursive_doubling(
                            donate=True)
             r = sched.recv(tmp, partner, tag, after=deps, round=rnd)
             a, b = (tmp, acc) if partner < rank else (acc, tmp)
-            deps = [sched.reduce(op, a, b, into=acc, after=(s, r),
+            deps = [sched.reduce(OP, a, b, into=acc, after=(s, r),
                                  round=rnd)]
             mask <<= 1
     # Fold-out (tag offset 5): odd partners hand the result back.
@@ -179,14 +183,15 @@ def append_ring_reduce_scatter(
     acc: Ref,
     count: int,
     dtype,
-    op: ReduceOp,
+    op: Ref,
     tag: int,
     after=(),
     round0: int = 0,
 ) -> List[int]:
     """Ring reduce-scatter over ``ctx``'s communicator (tag offsets
-    0..3): after P−1 steps rank *r* owns the fully combined chunk
-    ``(r+1) mod P`` of ``acc`` (``count`` elements of ``dtype``).
+    0..3): after P−1 steps rank *r* owns the chunk ``(r+1) mod P`` of
+    ``acc`` (``count`` elements of ``dtype``), combined under the op in
+    slot ``op``.
 
     Shared by the flat ring allreduce and — through a
     :class:`~repro.mpi.algorithms.schedule.SubSchedule` bound to an
@@ -252,13 +257,15 @@ def build_allreduce_ring(
     sendbuf: Payload,
     recvbuf: Payload,
     op: ReduceOp = ReduceOp.SUM,
+    *,
+    tag: int,
 ) -> Schedule:
     """Ring allreduce: reduce-scatter then allgather over 1/P chunks.
 
     Works for any P (including non-powers of two) and any element count
     (trailing chunks may be empty when count < P).
     """
-    src, sched = _setup(ctx, sendbuf, recvbuf)
+    src, sched = _setup(ctx, sendbuf, recvbuf, op)
     size = ctx.size
     out = Ref(1)
     acc = sched.scratch(src.size, src.dtype, init=Ref(0))
@@ -266,9 +273,8 @@ def build_allreduce_ring(
         sched.overhead()
         sched.copy(acc, out, after=(sched.last,))
         return sched
-    tag = next_tag(ctx)
     deps = append_ring_reduce_scatter(sched, ctx, acc, src.size, src.dtype,
-                                      op, tag)
+                                      OP, tag)
     deps = append_ring_allgather(
         sched, ctx, acc, src.size, src.itemsize, tag + 4, after=deps,
         round0=size - 1,

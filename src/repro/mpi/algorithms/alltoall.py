@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 from ..datatypes import Payload, payload_array
 from ..errors import MpiError
-from .base import is_pof2, next_tag
+from .base import is_pof2
 from .schedule import Pack, Ref, Schedule
 
 __all__ = [
@@ -50,10 +50,11 @@ def build_alltoall_shift(
     ctx,
     sendbufs: Sequence[Payload],
     recvbufs: Sequence[Payload],
+    *,
+    tag: int,
 ) -> Schedule:
     """Shift-schedule all-to-all (the seed algorithm)."""
     sched, send, recv, deps = _schedule(ctx, sendbufs, recvbufs)
-    tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
     if size == 1:
         sched.overhead(after=deps)
@@ -71,13 +72,14 @@ def build_alltoall_pairwise(
     ctx,
     sendbufs: Sequence[Payload],
     recvbufs: Sequence[Payload],
+    *,
+    tag: int,
 ) -> Schedule:
     """Pairwise (XOR-partner) exchange; requires power-of-two P."""
     size, rank = ctx.size, ctx.rank
     if not is_pof2(size):
         raise MpiError("pairwise alltoall needs power-of-two P")
     sched, send, recv, deps = _schedule(ctx, sendbufs, recvbufs)
-    tag = next_tag(ctx)
     if size == 1:
         sched.overhead(after=deps)
         return sched
@@ -95,6 +97,8 @@ def build_alltoall_bruck(
     ctx,
     sendbufs: Sequence[Payload],
     recvbufs: Sequence[Payload],
+    *,
+    tag: int,
 ) -> Schedule:
     """Bruck alltoall (any P, equal blocks): ⌈log2 P⌉ packed rounds.
 
@@ -119,13 +123,11 @@ def build_alltoall_bruck(
     ):
         raise MpiError("bruck alltoall needs equal-size blocks")
     sched = Schedule(*sendbufs, *recvbufs)
-    tag = next_tag(ctx)
     # Local rotation, at bind time: row i of the work slot is the block
     # for (rank + i) mod P.
     work = sched.scratch(size * block, init=Pack(tuple(
         Ref((rank + i) % size) for i in range(size)
     )))
-    row = [work.at(i * block, (i + 1) * block) for i in range(size)]
     # Row i ends at this rank carrying the block from rank−i.
     result = Pack(tuple(Ref(size + (rank - i) % size) for i in range(size)))
     if size == 1:
@@ -136,10 +138,14 @@ def build_alltoall_bruck(
     step = 1
     rnd = 0
     while step < size:
-        moved = Pack(tuple(row[i] for i in range(size) if i & step))
+        # The rows with this round's bit set: runs of ``step`` rows.
+        moved = Pack(tuple(
+            work.at(lo * block, min(lo + step, size) * block)
+            for lo in range(step, size, 2 * step)
+        ))
         dst = (rank + step) % size
         src = (rank - step) % size
-        stage = sched.scratch(len(moved.parts) * block, adopt=True)
+        stage = sched.scratch(sched.nbytes(moved), adopt=True)
         # donate: the payload is a fresh concatenation of the rows,
         # which the sender never touches again.
         s = sched.send(moved, dst, tag + rnd % 2, after=deps, round=rnd,

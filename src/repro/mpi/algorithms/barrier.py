@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import next_tag
 from .schedule import Schedule
 
 __all__ = ["build_barrier_dissemination"]
 
 
-def build_barrier_dissemination(ctx) -> Schedule:
+def build_barrier_dissemination(ctx, *, tag: int) -> Schedule:
     """Dissemination barrier schedule for this rank."""
     sched = Schedule()
-    tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
     if size == 1:
         sched.overhead()

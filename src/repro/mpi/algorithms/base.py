@@ -3,9 +3,15 @@
 Every collective call consumes one :data:`TAG_STRIDE`-wide block of the
 internal tag space (kept consistent across ranks by the requirement, as
 in real MPI, that all ranks invoke collectives in the same order).
-Algorithms address sub-steps with offsets inside their block; messages
-between the same (source, tag) pair match FIFO, so step-loops may reuse
-offsets the way the seed ring allgather always has.
+The dispatch layer claims the block at issue, once per call, and hands
+it to the schedule builder as ``tag``, so a builder may run later (or
+not at all, on a fast-path plan hit) without shifting any rank's later
+claims.  Algorithms address sub-steps with offsets inside their block;
+messages between the same (source, tag) pair match FIFO, so step-loops
+may reuse offsets the way the seed ring allgather always has.  Phases a
+hierarchical collective runs on the communicator's private
+sub-communicators take blocks derived from the parent's
+(:func:`sub_tag`).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "largest_pof2",
     "hier_ok",
     "next_tag",
+    "sub_tag",
     "isend_internal",
     "send_internal",
     "recv_internal",
@@ -69,6 +76,18 @@ def next_tag(ctx: MpiContext) -> int:
     seq = comm._coll_seq[ctx.rank]
     comm._coll_seq[ctx.rank] += 1
     return INTERNAL_TAG_BASE + (seq * TAG_STRIDE)
+
+
+def sub_tag(tag: int, j: int) -> int:
+    """Block ``j`` (0 or 1) of a sub-communicator's tag space for the
+    collective whose block on the parent communicator is ``tag``.
+
+    Each derived communicator of ``hier_comms`` carries only its
+    parent's hierarchical phases, so two blocks per parent call keep
+    every phase's tags unique without a claim of their own.
+    """
+    seq = (tag - INTERNAL_TAG_BASE) // TAG_STRIDE
+    return INTERNAL_TAG_BASE + (2 * seq + j) * TAG_STRIDE
 
 
 def isend_internal(

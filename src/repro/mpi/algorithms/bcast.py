@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 from ..datatypes import Payload, payload_array
 from ..errors import MpiError
-from .base import next_tag
 from .schedule import Ref, Schedule
 
 __all__ = [
@@ -96,19 +95,20 @@ def _append_binomial(
 
 
 def build_bcast_binomial(
-    ctx, buf: Payload, root: int = 0, after: Sequence[int] = ()
+    ctx, buf: Payload, root: int = 0, after: Sequence[int] = (), *,
+    tag: int,
 ) -> Schedule:
     """Binomial-tree broadcast of ``buf`` (in place for non-roots)."""
     sched = Schedule(buf)
-    append_bcast_binomial(sched, ctx, Ref(0), root=root, after=after)
+    append_bcast_binomial(sched, ctx, Ref(0), root=root, after=after,
+                          tag=tag)
     return sched
 
 
 def append_bcast_binomial(
     sched: Schedule, ctx, buf: Ref, root: int = 0,
-    after: Sequence[int] = (), round0: int = 0,
+    after: Sequence[int] = (), round0: int = 0, *, tag: int,
 ) -> List[int]:
-    tag = next_tag(ctx)
     if ctx.size == 1:
         return [sched.overhead(after=after)]
     return _append_binomial(
@@ -118,18 +118,19 @@ def append_bcast_binomial(
 
 
 def build_bcast_hierarchical(
-    ctx, buf: Payload, root: int = 0, after: Sequence[int] = ()
+    ctx, buf: Payload, root: int = 0, after: Sequence[int] = (), *,
+    tag: int,
 ) -> Schedule:
     """Domain-leader broadcast: root → leaders → domain members."""
     sched = Schedule(buf)
     append_bcast_hierarchical(sched, ctx, Ref(0), root=root,
-                              after=after)
+                              after=after, tag=tag)
     return sched
 
 
 def append_bcast_hierarchical(
     sched: Schedule, ctx, buf: Ref, root: int = 0,
-    after: Sequence[int] = (), round0: int = 0,
+    after: Sequence[int] = (), round0: int = 0, *, tag: int,
 ) -> List[int]:
     """Requires the communicator to expose locality groups (every rank in
     exactly one group); the root acts as its own group's leader so the
@@ -140,7 +141,6 @@ def append_bcast_hierarchical(
             "hierarchical bcast needs >= 2 locality groups; "
             "use the binomial tree on flat fabrics"
         )
-    tag = next_tag(ctx)
     if ctx.size == 1:
         return [sched.overhead(after=after)]
     my_group = next(g for g in groups if ctx.rank in g)
@@ -187,6 +187,8 @@ def build_bcast_pipelined(
     root: int = 0,
     after: Sequence[int] = (),
     segments: Optional[int] = None,
+    *,
+    tag: int,
 ) -> Schedule:
     """Segmented chain broadcast (large messages).
 
@@ -197,17 +199,16 @@ def build_bcast_pipelined(
     """
     sched = Schedule(buf)
     append_bcast_pipelined(sched, ctx, Ref(0), root=root,
-                           after=after, segments=segments)
+                           after=after, segments=segments, tag=tag)
     return sched
 
 
 def append_bcast_pipelined(
     sched: Schedule, ctx, buf: Ref, root: int = 0,
     after: Sequence[int] = (), segments: Optional[int] = None,
-    round0: int = 0,
+    round0: int = 0, *, tag: int,
 ) -> List[int]:
     """``buf`` must be a user slot holding an array."""
-    tag = next_tag(ctx)
     size, rank = ctx.size, ctx.rank
     if size == 1:
         return [sched.overhead(after=after)]
@@ -259,7 +260,7 @@ _APPENDERS = {
 
 def append_bcast(
     algo: str, sched: Schedule, ctx, buf: Ref, root: int = 0,
-    after: Sequence[int] = (), round0: int = 0,
+    after: Sequence[int] = (), round0: int = 0, *, tag: int,
 ) -> List[int]:
     """Append the named broadcast schedule behind ``after``.
 
@@ -268,4 +269,4 @@ def append_bcast(
     legs' rounds never overlap in the analytic per-round pricing.
     """
     return _APPENDERS[algo](sched, ctx, buf, root=root, after=after,
-                            round0=round0)
+                            round0=round0, tag=tag)

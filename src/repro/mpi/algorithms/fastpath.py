@@ -53,14 +53,20 @@ therefore bit-identical whether a plan is fresh or reused, at any
 arrival skew, traced or not.
 
 **Hits never build.**  The dispatch layer hands every collective over
-as ``(build, shape, bufs)``.  The first rank to issue an instance
-decides hit or miss for all ranks, so every rank builds (and claims its
-tags) or none does.  A hit calls no builder: each rank binds its user
+as ``(build, shape, bufs)``, its tag block already claimed, so whether
+a rank builds changes nothing for its later calls.  Each rank looks its
+own key up at issue.  On a hit it calls no builder: it binds its user
 buffers ``bufs`` to the plan's slots, with fresh scratch arrays from
-the plan's declarations, at issue (the build-time copy of a send
-buffer is taken there).  A rank whose buffers' byte sizes disagree with
-the plan's raises :class:`~repro.mpi.errors.MpiError`, as does a hit
-whose ranks deposit different keys — the key missed an input.
+the plan's declarations (the build-time copy of a send buffer is taken
+there).  A rank whose buffers' byte sizes disagree with its plan's
+raises :class:`~repro.mpi.errors.MpiError` — the key missed an input.
+On a miss it builds.  When the last rank arrives, an instance whose
+ranks all issued one key hits that key's plan; a rank that built
+anyway (it issued before the plan was compiled) is checked against the
+plan.  An instance whose ranks issued different keys (a ragged
+alltoall, ranks passing different receive layouts) builds the
+schedules its hitting ranks skipped, over the buffers they bound, and
+is compiled and priced but not kept.
 
 **The data program.**  The compiling walk moves the compiling
 instance's data as it resolves each step, and records what it did as a
@@ -82,12 +88,12 @@ FIFO, posted receives first, so a send almost always delivers straight
 into its receive without a snapshot.
 
 The key is the ``shape`` tuple of ``collectives._call``: op,
-algorithm, root, reduce op, and the signature of every buffer that
-sizes a wire step.  It must be equal on every rank: an instance whose
-ranks issue different keys (a ragged alltoall) is compiled and priced
-but not kept, as is one with no key (a prebuilt schedule).  The saving
-needs repeated shapes: ``serve-analytic`` (``perfbench``) repeats 504
-of its 520 collectives, ``rma-analytic`` 6 of 8.
+algorithm, root, and the signature of every buffer that sizes a wire
+step.  A reduction's op is a bound slot, not part of the key, so one
+plan serves every op of a shape.  An instance with no key (a
+hand-built schedule) is never kept.  The saving needs repeated shapes:
+``serve-analytic`` (``perfbench``) repeats 504 of its 520 collectives,
+``rma-analytic`` 6 of 8.
 
 What stays exact: point-to-point (``send``/``recv``/``isend``/...),
 ``gather``/``scatter`` (linear, not schedule-based), and host-memory
@@ -114,7 +120,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ...sim.batch import EventBatch
 from ...sim.core import Event, us
-from ..datatypes import HEADER_BYTES, payload_array
+from ..datatypes import HEADER_BYTES, ReduceOp, payload_array
 from ..errors import MpiError
 from .schedule import (
     Schedule, ScheduleEngine, _Step, _round_name, new_environment, resolve,
@@ -149,28 +155,34 @@ _UNSET = object()
 
 
 def _sizes(bufs) -> Tuple:
-    """User buffers' byte sizes (``None`` and byte counts as given):
-    what a plan's slots were compiled for."""
+    """User slots' byte sizes (``None`` and byte counts as given; a
+    reduce op slot binds any op): what a plan's slots were compiled
+    for."""
     return tuple([
-        b if a is None else a.nbytes
-        for b, a in zip(bufs, map(payload_array, bufs))
+        None if b.__class__ is ReduceOp
+        else b if (a := payload_array(b)) is None else a.nbytes
+        for b in bufs
     ])
 
 
 class _Instance:
-    """One collective call site: per-rank schedules (or, on a plan hit,
-    bound environments) awaiting the last arrival."""
+    """One collective call site: per-rank schedules (``None`` for a
+    rank that hit a plan) and bound environments awaiting the last
+    arrival."""
 
     __slots__ = (
-        "ctxs", "scheds", "envs", "dones", "arrivals", "arrived", "shape",
-        "label", "nbytes", "plan",
+        "ctxs", "scheds", "envs", "builds", "dones", "arrivals", "arrived",
+        "shape", "label", "nbytes",
     )
 
-    def __init__(self, size: int, plan: Optional["_Plan"] = None) -> None:
+    def __init__(self, size: int) -> None:
         self.ctxs: List[Any] = [None] * size
         self.scheds: List[Optional[Schedule]] = [None] * size
         #: Per rank, its bound slots (``None`` when no data moves).
         self.envs: List[Optional[List[Any]]] = [None] * size
+        #: Per rank, its schedule builder (run at completion only for a
+        #: rank that hit while the others' keys differ).
+        self.builds: List[Any] = [None] * size
         self.dones: List[Optional[Event]] = [None] * size
         self.arrivals: List[float] = [0.0] * size
         self.arrived = 0
@@ -180,12 +192,11 @@ class _Instance:
         #: The first deposited key and payload size (span labels).
         self.label: Optional[Tuple] = None
         self.nbytes = 0
-        #: The plan this instance hits, fixed by its first issuing rank.
-        self.plan = plan
 
     def deposit(self, rank: int, ctx, sched: Optional[Schedule],
                 done: Event, shape: Optional[Tuple] = None,
-                env: Optional[List[Any]] = None, nbytes: int = 0) -> None:
+                env: Optional[List[Any]] = None, build=None,
+                nbytes: int = 0) -> None:
         if self.dones[rank] is not None or self.scheds[rank] is not None:
             raise MpiError(
                 f"rank {rank} deposited twice into one collective "
@@ -194,6 +205,7 @@ class _Instance:
         self.ctxs[rank] = ctx
         self.scheds[rank] = sched
         self.envs[rank] = env
+        self.builds[rank] = build
         self.dones[rank] = done
         if ctx is not None:
             self.arrivals[rank] = ctx.sim.now
@@ -300,27 +312,35 @@ class _Plan:
     pair: Tuple[int, ...] = ()
     scratch: Tuple = ()
 
-    def environment(self, rank: int, bufs, prebuilt) -> Optional[List]:
-        """Bind ``rank``'s buffers for a hit: its slots, or ``None``
-        when no data moves.  Raises when the buffers (or a prebuilt
-        DAG) disagree with what the plan was compiled from."""
-        if prebuilt is not None and len(prebuilt.steps) != self.n_steps[rank]:
-            raise MpiError(
-                f"fast-path plan for {self.name!r} has "
-                f"{self.n_steps[rank]} steps on rank {rank}, the schedule "
-                f"{len(prebuilt.steps)}: the shape key misses an input "
-                "that changes the DAG"
-            )
-        sizes = _sizes(bufs) if bufs else ()
+    def _check_sizes(self, rank: int, bufs) -> None:
+        sizes = _sizes(bufs)
         if sizes != self.sizes[rank]:
             raise MpiError(
                 f"fast-path plan for {self.name!r} was compiled for "
                 f"buffers of {self.sizes[rank]} B on rank {rank}, bound "
                 f"to {sizes} B: the shape key misses an input"
             )
+
+    def bind(self, rank: int, bufs) -> Optional[List]:
+        """Bind ``rank``'s buffers for a hit: its slots, or ``None``
+        when no data moves.  Raises when the buffers disagree with what
+        the plan was compiled from."""
+        self._check_sizes(rank, bufs)
         if not self.data_ops:
             return None
         return new_environment(self.scratch[rank], bufs)
+
+    def check(self, rank: int, sched: Schedule) -> None:
+        """Raise unless ``rank``'s built schedule is the DAG (and binds
+        the buffer sizes) the plan was compiled from."""
+        if len(sched.steps) != self.n_steps[rank]:
+            raise MpiError(
+                f"fast-path plan for {self.name!r} has "
+                f"{self.n_steps[rank]} steps on rank {rank}, the schedule "
+                f"{len(sched.steps)}: the shape key misses an input "
+                "that changes the DAG"
+            )
+        self._check_sizes(rank, sched.user)
 
     def replay(self, envs: List[Optional[List[Any]]], stats) -> None:
         """Move one instance's data: run the data program over its
@@ -399,10 +419,10 @@ class FastPathEngine(ScheduleEngine):
     consumed via ``yield from`` by the blocking collectives and the
     inherited :meth:`ScheduleEngine.start` spawns it for the
     nonblocking ones.  The collective-instance sequence number is
-    claimed, and the hit-or-miss decision made, synchronously at issue
-    time (``execute`` is a plain function returning the generator), so
-    mixed blocking/nonblocking sequences stay aligned exactly like the
-    tag-block claims.
+    claimed, and the rank's hit-or-miss decision made, synchronously at
+    issue time (``execute`` is a plain function returning the
+    generator), so mixed blocking/nonblocking sequences stay aligned
+    exactly like the tag-block claims.
     """
 
     def __init__(self, comm, price_only: bool = False) -> None:
@@ -422,31 +442,30 @@ class FastPathEngine(ScheduleEngine):
         rank = ctx.rank
         seq = self._claims[rank]
         self._claims[rank] += 1
-        inst = self._instances.get(seq)
-        prebuilt = build if isinstance(build, Schedule) else None
-        if prebuilt is not None:
-            shape, bufs = prebuilt.shape, prebuilt.user
-        if inst is None:
-            inst = self._instances[seq] = _Instance(
-                self.comm.size,
-                self._plans.get(shape) if shape is not None else None,
-            )
         sched = env = None
-        if inst.plan is not None:
-            env = inst.plan.environment(rank, bufs, prebuilt)
+        if isinstance(build, Schedule):
+            # Hand-built: checked against the plan its key names.
+            sched, shape, bufs = build, build.shape, build.user
+        plan = self._plans.get(shape) if shape is not None else None
+        if plan is not None and sched is None:
+            env = plan.bind(rank, bufs)
         else:
-            sched = prebuilt if prebuilt is not None else build()
+            if sched is None:
+                sched = build()
             if not self.price_only:
                 env = sched.environment()
-        return self._run(ctx, seq, inst, sched, env, shape, nbytes)
+        return self._run(ctx, seq, sched, env, build, shape, nbytes)
 
-    def _run(self, ctx, seq: int, inst: _Instance,
-             sched: Optional[Schedule], env, shape, nbytes: int,
-             ) -> Generator[Event, Any, None]:
+    def _run(self, ctx, seq: int, sched: Optional[Schedule], env, build,
+             shape, nbytes: int) -> Generator[Event, Any, None]:
         self.active += 1
         try:
+            inst = self._instances.get(seq)
+            if inst is None:
+                inst = self._instances[seq] = _Instance(self.comm.size)
             done = ctx.sim.event(name=f"fastpath(r{ctx.rank}#{seq})")
-            inst.deposit(ctx.rank, ctx, sched, done, shape, env, nbytes)
+            inst.deposit(ctx.rank, ctx, sched, done, shape, env, build,
+                         nbytes)
             if inst.arrived == self.comm.size:
                 del self._instances[seq]
                 self._complete(inst)
@@ -462,20 +481,27 @@ class FastPathEngine(ScheduleEngine):
         sim = comm.sim
         stats = sim.stats
         size = comm.size
-        plan = inst.plan
+        shape = inst.shape
+        plan = self._plans.get(shape) if shape is not None else None
         if plan is not None:
-            if inst.shape is None:
-                raise MpiError(
-                    f"fast-path plan hit for {plan.name!r} whose ranks "
-                    "issued different plan keys"
-                )
+            for r, sched in enumerate(inst.scheds):
+                if sched is not None:
+                    plan.check(r, sched)
             stats.fastpath_sched_cache_hits += 1
             if plan.data_ops:
                 plan.replay(inst.envs, stats)
         else:
+            # Ranks whose own key hit while the others' differ: build
+            # them now (their tags were claimed at issue), over the
+            # buffers they bound.
+            for r, sched in enumerate(inst.scheds):
+                if sched is None:
+                    sched = inst.scheds[r] = inst.builds[r]()
+                    if inst.envs[r] is None and not self.price_only:
+                        inst.envs[r] = sched.environment()
             plan = self._compile(inst)
-            if inst.shape is not None:
-                self._plans[inst.shape] = plan
+            if shape is not None:
+                self._plans[shape] = plan
 
         interconnect = comm.cluster.interconnect
         fins, rdy, fin = plan.evaluate(

@@ -39,7 +39,8 @@ from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
 from .allgather import AllgatherRecv, _schedule as _allgather_schedule
 from .allreduce import append_ring_allgather, append_ring_reduce_scatter
-from .base import next_tag
+from .base import sub_tag
+from .reduce import OP
 from .schedule import Pack, Ref, Schedule, SubSchedule
 
 __all__ = [
@@ -70,6 +71,8 @@ def build_allreduce_hierarchical(
     sendbuf: Payload,
     recvbuf: Payload,
     op: ReduceOp = ReduceOp.SUM,
+    *,
+    tag: int,
 ) -> Schedule:
     """Two-level allreduce over the communicator's locality groups."""
     src = payload_array(sendbuf)
@@ -77,7 +80,7 @@ def build_allreduce_hierarchical(
         raise MpiError("allreduce requires an array payload")
     if payload_array(recvbuf) is None:
         raise MpiError("allreduce requires a recv buffer on every rank")
-    sched = Schedule(sendbuf, recvbuf)
+    sched = Schedule(sendbuf, recvbuf, op)
     out = Ref(1)
     acc = sched.scratch(src.size, src.dtype, init=Ref(0))
     if ctx.size == 1:
@@ -86,14 +89,14 @@ def build_allreduce_hierarchical(
         return sched
     hier, _groups = _hier_setup(ctx)
     if hier.equal_groups:
-        deps = _allreduce_equal_pods(sched, ctx, hier, acc, src, op)
+        deps = _allreduce_equal_pods(sched, ctx, hier, acc, src, tag)
     else:
-        deps = _allreduce_unequal_pods(sched, ctx, hier, acc, src, op)
+        deps = _allreduce_unequal_pods(sched, ctx, hier, acc, src, tag)
     sched.copy(acc, out, after=deps)
     return sched
 
 
-def _allreduce_equal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
+def _allreduce_equal_pods(sched, ctx, hier, acc, src, tag) -> List[int]:
     """Equal pods: intra RS → peer-comm ring allreduce → intra AG.
 
     Same message sequence as the PR 2 hand-rolled schedule, but every
@@ -104,10 +107,10 @@ def _allreduce_equal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
     s = intra.size
     intra_sub = SubSchedule(sched, intra)
     deps: List[int] = []
-    itag = next_tag(intra)
+    itag = sub_tag(tag, 0)
     if s > 1:
         deps = append_ring_reduce_scatter(
-            intra_sub, intra, acc, src.size, src.dtype, op, itag
+            intra_sub, intra, acc, src.size, src.dtype, OP, itag
         )
     # After the reduce-scatter this member owns chunk (m+1) mod s; the
     # peer communicator (member m of every domain) allreduces it.
@@ -119,10 +122,10 @@ def _allreduce_equal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
     mine = acc.at(bounds[own] * isz, bounds[own + 1] * isz)
     if peer is not None and peer.size > 1:
         peer_sub = SubSchedule(sched, peer)
-        ptag = next_tag(peer)
+        ptag = sub_tag(tag, 0)
         rnd = sched.n_rounds
         deps = append_ring_reduce_scatter(
-            peer_sub, peer, mine, count, src.dtype, op, ptag, after=deps,
+            peer_sub, peer, mine, count, src.dtype, OP, ptag, after=deps,
             round0=rnd,
         )
         deps = append_ring_allgather(
@@ -137,7 +140,7 @@ def _allreduce_equal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
     return deps
 
 
-def _allreduce_unequal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
+def _allreduce_unequal_pods(sched, ctx, hier, acc, src, tag) -> List[int]:
     """Unequal pods: ring allreduce on a locality-reordered comm.
 
     The peer rings of the equal-pod path need member *i* to exist in
@@ -153,11 +156,11 @@ def _allreduce_unequal_pods(sched, ctx, hier, acc, src, op) -> List[int]:
     """
     rctx = hier.reordered_ctx(ctx.rank)
     sub = SubSchedule(sched, rctx)
-    tag = next_tag(rctx)
+    rtag = sub_tag(tag, 0)
     deps = append_ring_reduce_scatter(sub, rctx, acc, src.size, src.dtype,
-                                      op, tag)
+                                      OP, rtag)
     return append_ring_allgather(
-        sub, rctx, acc, src.size, src.itemsize, tag + 4, after=deps,
+        sub, rctx, acc, src.size, src.itemsize, rtag + 4, after=deps,
         round0=sched.n_rounds,
     )
 
@@ -170,6 +173,8 @@ def build_allgather_hierarchical(
     ctx,
     sendbuf: Payload,
     recvbufs: AllgatherRecv,
+    *,
+    tag: int,
 ) -> Schedule:
     """Topology-aware allgather: gather → leader ring → broadcast.
 
@@ -214,7 +219,7 @@ def build_allgather_hierarchical(
         return full.at(offset[r], offset[r] + block_bytes[r])
 
     intra_sub = SubSchedule(sched, intra)
-    itag = next_tag(intra)
+    itag = sub_tag(tag, 0)
     deps: List[int] = []
     members = groups[gi]
     if intra.rank == 0:
@@ -229,7 +234,7 @@ def build_allgather_hierarchical(
     leader = hier.leader_ctx(ctx.rank)
     if leader is not None and leader.size > 1:
         lsub = SubSchedule(sched, leader)
-        ltag = next_tag(leader)
+        ltag = sub_tag(tag, 0)
         right = (leader.rank + 1) % G
         left = (leader.rank - 1) % G
         rnd0 = sched.n_rounds
@@ -243,7 +248,7 @@ def build_allgather_hierarchical(
             deps = [snd, rcv]
 
     # Intra-domain broadcast of the assembled vector.
-    btag = next_tag(intra)
+    btag = sub_tag(tag, 1)
     if s > 1:
         deps = _append_binomial(
             intra_sub, intra, full, list(range(s)), 0, btag,
@@ -263,6 +268,8 @@ def build_alltoall_hierarchical(
     ctx,
     sendbufs,
     recvbufs,
+    *,
+    tag: int,
 ) -> Schedule:
     """Topology-aware alltoall: bucket-gather → leader exchange →
     dispersal.
@@ -304,7 +311,7 @@ def build_alltoall_hierarchical(
     result = Pack(tuple(Ref(P + j) for j in dm_order))
 
     intra_sub = SubSchedule(sched, intra)
-    itag = next_tag(intra)
+    itag = sub_tag(tag, 0)
     if intra.rank == 0:
         # Leader: stage[m] = member m's full payload in dm_order.
         stage = [sched.scratch(P * B) for _ in range(s)]
@@ -326,7 +333,7 @@ def build_alltoall_hierarchical(
         leader = hier.leader_ctx(ctx.rank)
         if leader is not None and leader.size > 1:
             lsub = SubSchedule(sched, leader)
-            ltag = next_tag(leader)
+            ltag = sub_tag(tag, 0)
             rnd0 = sched.n_rounds
             for k in range(1, G):
                 dst = (gi + k) % G
@@ -348,7 +355,7 @@ def build_alltoall_hierarchical(
                 for d in range(G) for q in range(sizes[d])
             ))
 
-        dtag = next_tag(intra)
+        dtag = sub_tag(tag, 1)
         rnd = sched.n_rounds
         for m in range(1, s):
             intra_sub.send(member_result(m), m, dtag, after=deps, round=rnd)
@@ -356,7 +363,7 @@ def build_alltoall_hierarchical(
     else:
         # Member: ship the payload up, await the dealt result.
         snd = intra_sub.send(payload, 0, itag)
-        dtag = next_tag(intra)
+        dtag = sub_tag(tag, 1)
         res = sched.scratch(P * B)
         rcv = intra_sub.recv(res, 0, dtag)
         sched.copy(res, result, after=(snd, rcv))

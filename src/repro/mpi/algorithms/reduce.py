@@ -23,8 +23,13 @@ from typing import List, Optional, Sequence
 
 from ..datatypes import Payload, ReduceOp, payload_array
 from ..errors import MpiError
-from .base import largest_pof2, next_tag
+from .base import largest_pof2
 from .schedule import Ref, Schedule
+
+#: The reduce op's slot in every reduction schedule (``Schedule(sendbuf,
+#: recvbuf, op)``): bound per instance like a buffer, so one fast-path
+#: plan serves every op of a shape.
+OP = Ref(2)
 
 __all__ = [
     "build_reduce_binomial",
@@ -48,12 +53,15 @@ def append_reduce_binomial(
     ctx,
     send: Ref,
     recv: Optional[Ref],
-    op: ReduceOp = ReduceOp.SUM,
+    op: Ref,
     root: int = 0,
     after: Sequence[int] = (),
+    *,
+    tag: int,
 ) -> List[int]:
     """Binomial-tree reduction of user slot ``send`` into user slot
-    ``recv`` at ``root`` (the seed schedule).
+    ``recv`` at ``root`` (the seed schedule), under the op in slot
+    ``op``.
 
     Same virtual-rank arithmetic and message sequence as the original
     run-to-completion loop; returns the terminal step indices.
@@ -63,7 +71,6 @@ def append_reduce_binomial(
         None if recv is None else sched.user[recv.slot], root,
     )
     size, rank = ctx.size, ctx.rank
-    tag = next_tag(ctx)
     acc = sched.scratch(src.size, src.dtype, init=send)
     deps = list(after)
     if size > 1:
@@ -100,10 +107,12 @@ def build_reduce_binomial(
     recvbuf: Optional[Payload],
     op: ReduceOp = ReduceOp.SUM,
     root: int = 0,
+    *,
+    tag: int,
 ) -> Schedule:
-    sched = Schedule(sendbuf, recvbuf)
-    append_reduce_binomial(sched, ctx, Ref(0), Ref(1), op=op,
-                           root=root)
+    sched = Schedule(sendbuf, recvbuf, op)
+    append_reduce_binomial(sched, ctx, Ref(0), Ref(1), op=OP,
+                           root=root, tag=tag)
     return sched
 
 
@@ -113,6 +122,8 @@ def build_reduce_rabenseifner(
     recvbuf: Optional[Payload],
     op: ReduceOp = ReduceOp.SUM,
     root: int = 0,
+    *,
+    tag: int,
 ) -> Schedule:
     """Recursive-halving reduce-scatter + binomial gather to the root.
 
@@ -129,14 +140,13 @@ def build_reduce_rabenseifner(
     """
     src = _setup(ctx, sendbuf, recvbuf, root)
     size, rank = ctx.size, ctx.rank
-    sched = Schedule(sendbuf, recvbuf)
+    sched = Schedule(sendbuf, recvbuf, op)
     out = Ref(1)
     acc = sched.scratch(src.size, src.dtype, init=Ref(0))
     if size == 1:
         sched.overhead()
         sched.copy(acc, out, after=(sched.last,))
         return sched
-    tag = next_tag(ctx)
     vr = (rank - root) % size
     pof2 = largest_pof2(size)
     rem = size - pof2
@@ -166,7 +176,7 @@ def build_reduce_rabenseifner(
             tmp0 = sched.scratch(n, src.dtype, adopt=True)
             r = sched.recv(tmp0, fold_src, tag + 6, after=deps, round=rnd)
             a, b = (tmp0, acc) if fold_src < rank else (acc, tmp0)
-            deps = [sched.combine(op, a, b, acc, after=(r,), round=rnd)]
+            deps = [sched.combine(OP, a, b, acc, after=(r,), round=rnd)]
         rnd += 1
     # Phase 1 (tag offsets 0/1) — recursive halving reduce-scatter: each
     # round trades half of the live range with the partner at distance
@@ -192,7 +202,7 @@ def build_reduce_rabenseifner(
                        after=deps, round=rnd, donate=True)
         r = sched.recv(tmp, partner, tag + rnd % 2, after=deps, round=rnd)
         a, b = (tmp, mine) if partner < rank else (mine, tmp)
-        deps = [sched.combine(op, a, b, mine, after=(s, r), round=rnd)]
+        deps = [sched.combine(OP, a, b, mine, after=(s, r), round=rnd)]
         lo, hi = keep_lo, keep_hi
         rnd += 1
     # Phase 2 (tag offsets 2/3) — binomial gather of the combined chunks:

@@ -12,8 +12,8 @@ exactly the way the hand-written generator loops used to overlap their
 Two execution modes share the same code path:
 
 * **blocking** — ``yield from engine.execute(ctx, build, ...)`` inside
-  the caller's process (what ``mpi/collectives.py`` does for the
-  classic MPI-2 collectives);
+  the caller's process (what ``MpiContext`` does for the classic
+  MPI-2 collectives);
 * **nonblocking** — ``engine.start(ctx, build, ...)`` spawns the
   executor as its own simulated process and returns a
   :class:`~repro.mpi.communicator.Request`, which is what the MPI-3
@@ -38,13 +38,15 @@ per-instance environment, optionally narrowed to a byte region — or a
 are the user's buffers (``Schedule(*user)``, in the order the dispatch
 layer passes them) followed by the scratch arrays the schedule
 declares (:meth:`Schedule.scratch`), allocated per instance at bind
-time.  Every compute is one op from a closed set — copy (into a pack:
-scatter), combine in place, combine into a rebound slot — run by
-:func:`run_op`.  A slot's binding may change while the schedule runs
-(a combine rebinds an accumulator, a receive adopts a donated
-payload), so a wire step reads its buffer from the environment when it
-starts.  The same descriptors drive both engines, and a fast-path plan
-replays them over freshly bound buffers without calling the builder.
+time; a reduction's :class:`~repro.mpi.datatypes.ReduceOp` is bound
+the same way, as a user slot.  Every compute is one op from a closed
+set — copy (into a pack: scatter), combine in place, combine into a
+rebound slot — run by :func:`run_op`.  A slot's binding may change
+while the schedule runs (a combine rebinds an accumulator, a receive
+adopts a donated payload), so a wire step reads its buffer from the
+environment when it starts.  The same descriptors drive both engines,
+and a fast-path plan replays them over freshly bound buffers without
+calling the builder.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 from ...hw.memory import nbytes_of
 from ...sim.core import Event
 from ..communicator import MpiContext, Request
-from ..datatypes import Payload, ReduceOp, payload_array
+from ..datatypes import Payload, payload_array
 from ..errors import MpiError
 
 __all__ = [
@@ -102,6 +104,7 @@ _OVERHEAD = "overhead"
 _COPY = 0     # (code, src, dst): dst[...] = src; a pack dst scatters
 _COMBINE = 1  # (code, op, a, b, dst): dst[...] = op(a, b)
 _REDUCE = 2   # (code, op, a, b, slot): slot := op(a, b)
+# (``op`` is the ref of the slot bound to the ReduceOp.)
 
 _U8 = np.dtype(np.uint8)
 _EMPTY = np.empty(0, dtype=_U8)
@@ -162,10 +165,12 @@ def run_op(env: List[Any], op: Tuple) -> None:
             off += view.size
     elif code == _COMBINE:
         _, rop, a, b, dst = op
-        _view(env, dst)[...] = rop.combine(_view(env, a), _view(env, b))
+        _view(env, dst)[...] = env[rop.slot].combine(
+            _view(env, a), _view(env, b)
+        )
     else:  # _REDUCE
         _, rop, a, b, slot = op
-        env[slot] = rop.combine(_view(env, a), _view(env, b))
+        env[slot] = env[rop.slot].combine(_view(env, a), _view(env, b))
 
 
 @dataclass(slots=True)
@@ -347,14 +352,17 @@ class Schedule:
         else copies bytes, a pack ``dst`` taking them part by part."""
         return self._compute((_COPY, src, dst), after, round)
 
-    def combine(self, op: ReduceOp, a: Ref, b: Ref, dst: Ref,
+    def combine(self, op: Ref, a: Ref, b: Ref, dst: Ref,
                 after: Sequence[int] = (), round: int = 0) -> int:
-        """``dst[...] = op(a, b)`` in place, in the slots' dtype."""
+        """``dst[...] = op(a, b)`` in place, in the slots' dtype, under
+        the :class:`~repro.mpi.datatypes.ReduceOp` bound to slot
+        ``op``."""
         return self._compute((_COMBINE, op, a, b, dst), after, round)
 
-    def reduce(self, op: ReduceOp, a: Ref, b: Ref, into: Ref,
+    def reduce(self, op: Ref, a: Ref, b: Ref, into: Ref,
                after: Sequence[int] = (), round: int = 0) -> int:
-        """Rebind slot ``into`` to the fresh array ``op(a, b)``."""
+        """Rebind slot ``into`` to the fresh array ``op(a, b)`` (``op``
+        as in :meth:`combine`)."""
         return self._compute((_REDUCE, op, a, b, into.slot), after, round)
 
     def overhead(self, after: Sequence[int] = (), round: int = 0) -> int:

@@ -3,9 +3,11 @@
 Every collective algorithm compiles to a round-based
 :class:`~repro.mpi.algorithms.schedule.Schedule` executed by the
 communicator's :class:`~repro.mpi.algorithms.schedule.ScheduleEngine`.
-The blocking MPI-2 entry points below run the schedule to completion in
-the calling process; the ``i``-prefixed MPI-3 entry points start the
-same schedule in a background process and return a
+``dispatch_<op>`` selects the algorithm and returns what the engine
+runs; the blocking MPI-2 methods of
+:class:`~repro.mpi.communicator.MpiContext` run it to completion in the
+calling process, and the ``i``-prefixed MPI-3 methods start it in a
+background process and return a
 :class:`~repro.mpi.communicator.Request` immediately, so a rank (or
 DCGN's comm thread) can overlap the collective with computation.
 
@@ -38,20 +40,14 @@ from .datatypes import Payload, ReduceOp, payload_array
 from .errors import MpiError
 
 __all__ = [
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
+    "dispatch_barrier",
+    "dispatch_bcast",
+    "dispatch_reduce",
+    "dispatch_allreduce",
+    "dispatch_allgather",
+    "dispatch_alltoall",
     "gather",
     "scatter",
-    "allgather",
-    "alltoall",
-    "ibarrier",
-    "ibcast",
-    "ireduce",
-    "iallreduce",
-    "iallgather",
-    "ialltoall",
     "igather",
     "iscatter",
 ]
@@ -77,16 +73,19 @@ def _call(ctx, coll: str, algo: str, nbytes: int, key: Tuple,
           bufs: Tuple, builder: Callable, *args, **kwargs) -> Tuple:
     """What an engine runs: ``(build, shape, bufs, nbytes)``.
 
-    ``build()`` builds this rank's schedule over the user buffers
-    ``bufs`` (slots ``0 .. len(bufs) - 1``, in the builder's order);
-    the fast path calls it only when the plan key ``shape = (coll,
-    algo, *key)`` has no plan yet.  ``key`` must cover every input that
-    shapes the per-rank DAGs, their message sizes and their computes
-    (root, reduce op, buffer signatures), and be equal on every rank.
+    The call's tag block is claimed here, at issue, so ``build()`` —
+    this rank's schedule over the user buffers ``bufs`` (slots ``0 ..
+    len(bufs) - 1``, in the builder's order) — may run at any later
+    point, or never: the fast path calls it only when this rank's plan
+    key ``shape = (coll, algo, *key)`` has no plan.  ``key`` must cover
+    every input that shapes this rank's DAG, its message sizes and its
+    computes (root, buffer signatures); a reduction's op is not one of
+    them: it is bound as a slot, like a buffer.
     """
+    tag = _next_tag(ctx)
     return (
-        lambda: builder(ctx, *args, **kwargs), (coll, algo) + key, bufs,
-        nbytes,
+        lambda: builder(ctx, *args, tag=tag, **kwargs), (coll, algo) + key,
+        bufs, nbytes,
     )
 
 
@@ -97,13 +96,13 @@ def _sig(buf: Payload):
     return buf if arr is None else (arr.dtype.str, arr.shape)
 
 
-def _barrier(ctx: MpiContext) -> Tuple:
+def dispatch_barrier(ctx: MpiContext) -> Tuple:
     ctx.comm._count("barrier")
     return _call(ctx, "barrier", "dissemination", 0, (), (),
                  build_barrier_dissemination)
 
 
-def _bcast(ctx: MpiContext, buf: Payload, root: int) -> Tuple:
+def dispatch_bcast(ctx: MpiContext, buf: Payload, root: int) -> Tuple:
     ctx.comm._count("bcast")
     ctx.comm._check_rank(root)
     nbytes = nbytes_of(buf) if buf is not None else 0
@@ -124,7 +123,7 @@ def _check_reduce_op(op: ReduceOp, what: str) -> None:
         )
 
 
-def _reduce(
+def dispatch_reduce(
     ctx: MpiContext,
     sendbuf: Payload,
     recvbuf: Optional[Payload],
@@ -139,12 +138,12 @@ def _reduce(
     ctx.comm._count(f"reduce[{algo}]")
     # Only the root's receive buffer takes part.
     recv = recvbuf if ctx.rank == root else None
-    return _call(ctx, "reduce", algo, nbytes, (root, _sig(sendbuf), op),
-                 (sendbuf, recv), SCHEDULES["reduce"][algo], sendbuf, recv,
-                 op=op, root=root)
+    return _call(ctx, "reduce", algo, nbytes, (root, _sig(sendbuf)),
+                 (sendbuf, recv, op), SCHEDULES["reduce"][algo], sendbuf,
+                 recv, op=op, root=root)
 
 
-def _allreduce(
+def dispatch_allreduce(
     ctx: MpiContext, sendbuf: Payload, recvbuf: Payload, op: ReduceOp
 ) -> Tuple:
     comm = ctx.comm
@@ -165,12 +164,12 @@ def _allreduce(
         )
         comm._count(f"bcast[{leg}]")
     return _call(ctx, "allreduce", algo, nbytes,
-                 (_sig(sendbuf), _sig(recvbuf), op), (sendbuf, recvbuf),
+                 (_sig(sendbuf), _sig(recvbuf)), (sendbuf, recvbuf, op),
                  SCHEDULES["allreduce"][algo], sendbuf, recvbuf, op,
                  **kwargs)
 
 
-def _allgather(
+def dispatch_allgather(
     ctx: MpiContext, sendbuf: Payload, recvbufs: AllgatherRecv
 ) -> Tuple:
     ctx.comm._count("allgather")
@@ -213,7 +212,7 @@ def _allgather(
                  SCHEDULES["allgather"][algo], sendbuf, recvbufs)
 
 
-def _alltoall(
+def dispatch_alltoall(
     ctx: MpiContext,
     sendbufs: Sequence[Payload],
     recvbufs: Sequence[Payload],
@@ -234,146 +233,6 @@ def _alltoall(
     return _call(ctx, "alltoall", algo, block * ctx.size, (tuple(sizes),),
                  (*sendbufs, *recvbufs), SCHEDULES["alltoall"][algo],
                  sendbufs, recvbufs)
-
-
-# ---------------------------------------------------------------------------
-# Blocking collectives (MPI-2): execute the schedule inline
-# ---------------------------------------------------------------------------
-
-def barrier(ctx: MpiContext) -> Generator[Event, Any, None]:
-    """Dissemination barrier."""
-    yield from ctx.comm.engine.execute(ctx, *_barrier(ctx))
-
-
-def bcast(
-    ctx: MpiContext, buf: Payload, root: int = 0
-) -> Generator[Event, Any, None]:
-    """Topology-adaptive broadcast (binomial tree, domain-leader
-    hierarchical on fragmented oversubscribed fabrics, or segmented
-    pipeline for large payloads)."""
-    yield from ctx.comm.engine.execute(ctx, *_bcast(ctx, buf, root))
-
-
-def reduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-    root: int = 0,
-) -> Generator[Event, Any, None]:
-    """Size-adaptive reduction to ``root`` (binomial tree, or
-    Rabenseifner reduce-scatter + gather for large vectors)."""
-    yield from ctx.comm.engine.execute(
-        ctx, *_reduce(ctx, sendbuf, recvbuf, op, root)
-    )
-
-
-def allreduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-) -> Generator[Event, Any, None]:
-    """Size-adaptive allreduce (see :mod:`repro.mpi.algorithms`)."""
-    yield from ctx.comm.engine.execute(
-        ctx, *_allreduce(ctx, sendbuf, recvbuf, op)
-    )
-
-
-def allgather(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbufs: AllgatherRecv,
-) -> Generator[Event, Any, None]:
-    """Size-adaptive allgather (ring, recursive doubling, Bruck, or
-    hierarchical).
-
-    ``recvbufs`` is either one C-contiguous ``(P, ...)`` array whose
-    row ``r`` receives rank ``r``'s block (MPI_Allgather's layout, set
-    up in O(1) per rank), or a sequence of ``P`` per-rank buffers,
-    which may differ in size (the vector variant, MPI_Allgatherv).
-    """
-    yield from ctx.comm.engine.execute(
-        ctx, *_allgather(ctx, sendbuf, recvbufs)
-    )
-
-
-def alltoall(
-    ctx: MpiContext,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Generator[Event, Any, None]:
-    """Schedule-adaptive all-to-all (shift, pairwise, or Bruck)."""
-    yield from ctx.comm.engine.execute(
-        ctx, *_alltoall(ctx, sendbufs, recvbufs)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Nonblocking collectives (MPI-3): start the schedule, return a Request
-# ---------------------------------------------------------------------------
-
-def ibarrier(ctx: MpiContext) -> Request:
-    """Nonblocking dissemination barrier."""
-    return ctx.comm.engine.start(
-        ctx, *_barrier(ctx), name=f"ibarrier(r{ctx.rank})"
-    )
-
-
-def ibcast(ctx: MpiContext, buf: Payload, root: int = 0) -> Request:
-    """Nonblocking broadcast (same schedules as ``bcast``)."""
-    return ctx.comm.engine.start(
-        ctx, *_bcast(ctx, buf, root), name=f"ibcast(r{ctx.rank})"
-    )
-
-
-def ireduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-    root: int = 0,
-) -> Request:
-    """Nonblocking reduction to ``root``."""
-    return ctx.comm.engine.start(
-        ctx, *_reduce(ctx, sendbuf, recvbuf, op, root),
-        name=f"ireduce(r{ctx.rank})",
-    )
-
-
-def iallreduce(
-    ctx: MpiContext,
-    sendbuf: Payload,
-    recvbuf: Payload,
-    op: ReduceOp = ReduceOp.SUM,
-) -> Request:
-    """Nonblocking allreduce (same schedules as ``allreduce``)."""
-    return ctx.comm.engine.start(
-        ctx, *_allreduce(ctx, sendbuf, recvbuf, op),
-        name=f"iallreduce(r{ctx.rank})",
-    )
-
-
-def iallgather(
-    ctx: MpiContext, sendbuf: Payload, recvbufs: AllgatherRecv
-) -> Request:
-    """Nonblocking allgather (``recvbufs`` as in :func:`allgather`)."""
-    return ctx.comm.engine.start(
-        ctx, *_allgather(ctx, sendbuf, recvbufs),
-        name=f"iallgather(r{ctx.rank})",
-    )
-
-
-def ialltoall(
-    ctx: MpiContext,
-    sendbufs: Sequence[Payload],
-    recvbufs: Sequence[Payload],
-) -> Request:
-    """Nonblocking all-to-all."""
-    return ctx.comm.engine.start(
-        ctx, *_alltoall(ctx, sendbufs, recvbufs),
-        name=f"ialltoall(r{ctx.rank})",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1009,12 +1009,10 @@ class MpiContext:
         themselves is free.
         """
         comm = self.comm
-        from . import collectives as c
-
         seq = comm._split_claim(self.rank)
         mine = np.array([int(color), int(key)], dtype=np.int64)
         recv = np.empty((comm.size, 2), dtype=np.int64)
-        yield from c.allgather(self, mine, recv)
+        yield from self.allgather(mine, recv)
         sub = comm._split_result(seq, self.rank, recv)
         if sub is None:
             return None
@@ -1067,9 +1065,7 @@ class MpiContext:
                 f"cannot free communicator {comm.name!r} with live "
                 f"window(s) {names}; free them first (WinContext.free)"
             )
-        from . import collectives as c
-
-        yield from c.barrier(self)
+        yield from self.barrier()
         comm._free_calls += 1
         if comm._free_calls >= comm.size:
             # MPI allows pending nonblocking ops at free time (their
@@ -1097,15 +1093,13 @@ class MpiContext:
         every rank) enables small-put batching — see
         :class:`~repro.mpi.rma.Window`."""
         comm = self.comm
-        from . import collectives as c
-
         seq = comm._win_claim(self.rank)
         comm._win_deposit(seq, self.rank, buf)
         # ndarray, HostBuffer and DeviceBuffer all expose .nbytes.
         nbytes = 0 if buf is None else int(buf.nbytes)
         mine = np.array([nbytes], dtype=np.int64)
         recv = np.empty((comm.size, 1), dtype=np.int64)
-        yield from c.allgather(self, mine, recv)
+        yield from self.allgather(mine, recv)
         win = comm._win_result(seq, self.rank, coalesce=coalesce)
         return win.ctx(self.rank)
 
@@ -1216,18 +1210,28 @@ class MpiContext:
         )
         return status
 
-    # -- collectives (implementations in .collectives) --------------------
+    # -- collectives (dispatch in .collectives) ---------------------------
+    # Blocking ones run the dispatched schedule inline; nonblocking ones
+    # (MPI-3 style) return a :class:`Request` at once while it
+    # progresses in the background (the communicator's ScheduleEngine).
+    # As in real MPI, all ranks must issue their collectives in the
+    # same order — the algorithm and tag block are claimed
+    # synchronously at call time.
     def barrier(self) -> Generator[Event, Any, None]:
         """Dissemination barrier across all ranks."""
         from . import collectives as c
 
-        yield from c.barrier(self)
+        yield from self.comm.engine.execute(self, *c.dispatch_barrier(self))
 
     def bcast(self, buf: Payload, root: int = 0) -> Generator[Event, Any, None]:
-        """Topology-adaptive broadcast (binomial or hierarchical)."""
+        """Topology-adaptive broadcast (binomial tree, domain-leader
+        hierarchical on fragmented oversubscribed fabrics, or segmented
+        pipeline for large payloads)."""
         from . import collectives as c
 
-        yield from c.bcast(self, buf, root=root)
+        yield from self.comm.engine.execute(
+            self, *c.dispatch_bcast(self, buf, root)
+        )
 
     def reduce(
         self,
@@ -1236,10 +1240,13 @@ class MpiContext:
         op: "ReduceOp" = ReduceOp.SUM,
         root: int = 0,
     ) -> Generator[Event, Any, None]:
-        """Binomial-tree reduction to the root."""
+        """Size-adaptive reduction to ``root`` (binomial tree, or
+        Rabenseifner reduce-scatter + gather for large vectors)."""
         from . import collectives as c
 
-        yield from c.reduce(self, sendbuf, recvbuf, op=op, root=root)
+        yield from self.comm.engine.execute(
+            self, *c.dispatch_reduce(self, sendbuf, recvbuf, op, root)
+        )
 
     def allreduce(
         self,
@@ -1247,10 +1254,12 @@ class MpiContext:
         recvbuf: Payload,
         op: "ReduceOp" = ReduceOp.SUM,
     ) -> Generator[Event, Any, None]:
-        """Reduce + broadcast."""
+        """Size-adaptive allreduce (see :mod:`repro.mpi.algorithms`)."""
         from . import collectives as c
 
-        yield from c.allreduce(self, sendbuf, recvbuf, op=op)
+        yield from self.comm.engine.execute(
+            self, *c.dispatch_allreduce(self, sendbuf, recvbuf, op)
+        )
 
     def gather(
         self,
@@ -1293,33 +1302,36 @@ class MpiContext:
         """
         from . import collectives as c
 
-        yield from c.allgather(self, sendbuf, recvbufs)
+        yield from self.comm.engine.execute(
+            self, *c.dispatch_allgather(self, sendbuf, recvbufs)
+        )
 
     def alltoall(
         self, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
     ) -> Generator[Event, Any, None]:
-        """Pairwise-exchange all-to-all."""
+        """Schedule-adaptive all-to-all (shift, pairwise, or Bruck)."""
         from . import collectives as c
 
-        yield from c.alltoall(self, sendbufs, recvbufs)
+        yield from self.comm.engine.execute(
+            self, *c.dispatch_alltoall(self, sendbufs, recvbufs)
+        )
 
-    # -- nonblocking collectives (MPI-3 style) -----------------------------
-    # Each returns a :class:`Request` immediately; the collective's
-    # schedule progresses in the background (the communicator's
-    # ScheduleEngine) while this rank keeps computing.  As in real MPI,
-    # all ranks must issue their collectives in the same order — the
-    # algorithm and tag block are claimed synchronously at call time.
     def ibarrier(self) -> Request:
         """Nonblocking dissemination barrier."""
         from . import collectives as c
 
-        return c.ibarrier(self)
+        return self.comm.engine.start(
+            self, *c.dispatch_barrier(self), name=f"ibarrier(r{self.rank})"
+        )
 
     def ibcast(self, buf: Payload, root: int = 0) -> Request:
-        """Nonblocking broadcast."""
+        """Nonblocking broadcast (same schedules as :meth:`bcast`)."""
         from . import collectives as c
 
-        return c.ibcast(self, buf, root=root)
+        return self.comm.engine.start(
+            self, *c.dispatch_bcast(self, buf, root),
+            name=f"ibcast(r{self.rank})",
+        )
 
     def ireduce(
         self,
@@ -1331,7 +1343,10 @@ class MpiContext:
         """Nonblocking reduction to the root."""
         from . import collectives as c
 
-        return c.ireduce(self, sendbuf, recvbuf, op=op, root=root)
+        return self.comm.engine.start(
+            self, *c.dispatch_reduce(self, sendbuf, recvbuf, op, root),
+            name=f"ireduce(r{self.rank})",
+        )
 
     def iallreduce(
         self,
@@ -1339,10 +1354,13 @@ class MpiContext:
         recvbuf: Payload,
         op: "ReduceOp" = ReduceOp.SUM,
     ) -> Request:
-        """Nonblocking allreduce."""
+        """Nonblocking allreduce (same schedules as :meth:`allreduce`)."""
         from . import collectives as c
 
-        return c.iallreduce(self, sendbuf, recvbuf, op=op)
+        return self.comm.engine.start(
+            self, *c.dispatch_allreduce(self, sendbuf, recvbuf, op),
+            name=f"iallreduce(r{self.rank})",
+        )
 
     def iallgather(
         self,
@@ -1352,7 +1370,10 @@ class MpiContext:
         """Nonblocking allgather (``recvbufs`` as in :meth:`allgather`)."""
         from . import collectives as c
 
-        return c.iallgather(self, sendbuf, recvbufs)
+        return self.comm.engine.start(
+            self, *c.dispatch_allgather(self, sendbuf, recvbufs),
+            name=f"iallgather(r{self.rank})",
+        )
 
     def ialltoall(
         self, sendbufs: Sequence[Payload], recvbufs: Sequence[Payload]
@@ -1360,7 +1381,10 @@ class MpiContext:
         """Nonblocking all-to-all."""
         from . import collectives as c
 
-        return c.ialltoall(self, sendbufs, recvbufs)
+        return self.comm.engine.start(
+            self, *c.dispatch_alltoall(self, sendbufs, recvbufs),
+            name=f"ialltoall(r{self.rank})",
+        )
 
     def igather(
         self,

@@ -48,8 +48,9 @@ class TestScheduleIR:
         assert "round 0" in text and "round 1" in text
 
     def test_lazy_buffers_resolve_at_step_start(self):
-        """A send of a slot reads the state left by the compute step it
-        depends on, not build-time state."""
+        """A send of a slot reads the slot's binding when the send
+        starts: the array the compute step it depends on rebound the
+        slot to, not the build-time (or bind-time) one."""
         sim, job = make_job(2)
         out = {}
 
@@ -59,9 +60,11 @@ class TestScheduleIR:
             tag = next_tag(ctx)
             if ctx.rank == 0:
                 sched = Schedule(np.zeros(8, dtype=np.int64),
-                                 np.arange(8, dtype=np.int64))
-                c = sched.copy(Ref(1), Ref(0))
-                sched.send(Ref(0), 1, tag, after=(c,))
+                                 np.arange(8, dtype=np.int64), ReduceOp.SUM)
+                # Bound to zeros; the reduce rebinds it to a new array.
+                acc = sched.scratch(8, np.int64, init=Ref(0))
+                c = sched.reduce(Ref(2), Ref(0), Ref(1), into=acc)
+                sched.send(acc, 1, tag, after=(c,))
                 yield from ctx.comm.engine.execute(ctx, sched)
             else:
                 buf = np.zeros(8, dtype=np.int64)

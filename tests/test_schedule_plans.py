@@ -173,6 +173,128 @@ def test_hit_binds_send_buffer_at_issue(backend):
         assert all(np.array_equal(v, np.full(8, 10.0)) for v in out)
 
 
+def test_ragged_alltoall_after_uniform_plan():
+    """Keys may differ between ranks: after a uniform alltoall compiled
+    its plan, a ragged one whose rank 0 still has uniform blocks (its
+    own key hits) while ranks 1 and 2 trade larger blocks is built,
+    compiled and priced, not bound to the uniform plan."""
+    n_ranks = 3
+    tuning = CollectiveTuning(force_alltoall="shift")
+    sim, job = _job("analytic", tuning=tuning, n_ranks=n_ranks)
+    out = {}
+
+    def count(r, j):
+        return 8 if {r, j} == {1, 2} else 4
+
+    def prog(ctx):
+        r = ctx.rank
+        for ragged in (False, True):
+            size = count if ragged else (lambda a, b: 4)
+            send = [np.full(size(r, j), 10.0 * r + j) for j in range(n_ranks)]
+            recv = [np.zeros(size(j, r)) for j in range(n_ranks)]
+            # Rank 0 issues first, so it looks its key up first.
+            yield ctx.sim.timeout(r * 1e-6)
+            yield from ctx.alltoall(send, recv)
+        out[r] = recv
+
+    job.start(prog)
+    job.run()
+    for r in range(n_ranks):
+        for j in range(n_ranks):
+            assert np.array_equal(out[r][j], np.full(count(j, r),
+                                                     10.0 * j + r))
+    assert sim.stats.fastpath_sched_cache_hits == 0
+    assert len(job.comm.engine._plans) == 1
+
+
+@pytest.mark.parametrize("backend", ["analytic", "pricing"])
+def test_allgather_with_per_rank_receive_layouts(backend):
+    """Ranks may pass different receive layouts to one allgather: rank
+    0 a ``(P, n)`` array (its key hits the plan the first call
+    compiled), the others ``P`` separate arrays (their keys miss)."""
+    sim, job = _job(backend)
+    out = {}
+
+    def prog(ctx):
+        r = ctx.rank
+        send = np.arange(16, dtype=np.float64) + 100 * r
+        yield from ctx.allgather(send, np.zeros((P, 16)))
+        recv = (np.zeros((P, 16)) if r == 0
+                else [np.zeros(16) for _ in range(P)])
+        yield ctx.sim.timeout(r * 1e-6)
+        yield from ctx.allgather(send, recv)
+        out[r] = recv
+
+    job.start(prog)
+    job.run()
+    assert sim.stats.fastpath_sched_cache_hits == 0
+    if backend == "analytic":
+        want = [np.arange(16, dtype=np.float64) + 100 * j for j in range(P)]
+        for r in range(P):
+            assert all(np.array_equal(out[r][j], want[j]) for j in range(P))
+
+
+def test_rank_that_built_before_the_plan_existed_joins_the_hit():
+    """Rank 0 issues two same-shape iallreduces before the first one
+    completes, so it builds both; the last rank issues the second after
+    the first compiled its plan, and hits it.  The second instance then
+    hits with a mix of built and bound ranks, and its data is exact."""
+    sim, job = _job("analytic")
+    out = {}
+
+    def prog(ctx):
+        r = ctx.rank
+        if r:
+            yield ctx.sim.timeout(r * 1e-6)
+        recvs = [np.zeros(8), np.zeros(8)]
+        reqs = []
+        for k, recv in enumerate(recvs):
+            if r == P - 1 and k:
+                yield from reqs[0].wait()
+            reqs.append(ctx.iallreduce(np.full(8, float(r + k)), recv))
+        for req in reqs:
+            yield from req.wait()
+        out[r] = recvs
+
+    job.start(prog)
+    job.run()
+    assert sim.stats.fastpath_sched_cache_hits == 1
+    total = sum(range(P))
+    for r in range(P):
+        assert np.array_equal(out[r][0], np.full(8, float(total)))
+        assert np.array_equal(out[r][1], np.full(8, float(total + P)))
+
+
+@pytest.mark.parametrize("coll", ["allreduce", "reduce"])
+def test_one_plan_serves_every_reduce_op(coll):
+    """The reduce op is bound per instance, not part of the key: SUM,
+    MAX and SUM again on one shape compile one plan, and each result is
+    the op's own."""
+    from repro.mpi import ReduceOp
+
+    sim, job = _job("analytic")
+    out = {}
+    ops = [ReduceOp.SUM, ReduceOp.MAX, ReduceOp.SUM]
+
+    def prog(ctx):
+        res = []
+        for op in ops:
+            recv = np.zeros(16)
+            send = np.arange(16, dtype=np.float64) * (ctx.rank + 1)
+            yield from getattr(ctx, coll)(send, recv, op=op)
+            res.append(recv)
+        out[ctx.rank] = res
+
+    job.start(prog)
+    job.run()
+    assert sim.stats.fastpath_sched_cache_hits == 2
+    assert len(job.comm.engine._plans) == 1
+    base = np.arange(16, dtype=np.float64)
+    want = [base * sum(range(1, P + 1)), base * P, base * sum(range(1, P + 1))]
+    for r in range(P) if coll == "allreduce" else (0,):
+        assert all(np.array_equal(a, b) for a, b in zip(out[r], want))
+
+
 # ---------------------------------------------------------------------------
 # Channel accounting parity
 # ---------------------------------------------------------------------------

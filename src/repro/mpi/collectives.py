@@ -30,6 +30,7 @@ issue time, so mixed blocking/nonblocking sequences stay aligned.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,10 +83,9 @@ def _call(ctx, coll: str, algo: str, nbytes: int, key: Tuple,
     computes (root, buffer signatures); a reduction's op is not one of
     them: it is bound as a slot, like a buffer.
     """
-    tag = _next_tag(ctx)
     return (
-        lambda: builder(ctx, *args, tag=tag, **kwargs), (coll, algo) + key,
-        bufs, nbytes,
+        partial(builder, ctx, *args, tag=_next_tag(ctx), **kwargs),
+        (coll, algo) + key, bufs, nbytes,
     )
 
 

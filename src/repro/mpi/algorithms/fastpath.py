@@ -25,8 +25,8 @@ schedules (same builders, same selector decisions, same tag claims, same
    priced with the protocol shape of ``_send_impl``/``_recv_impl`` —
    eager (``sw`` + one wire trip, receive finishing at
    ``max(recv_ready + sw, send_finish)``) or rendezvous (RTS → CTS →
-   payload, both sides finishing together).  Per-message wire times are
-   interned by the interconnect.  Because the model follows
+   payload, both sides finishing together).  Each distinct wire leg is
+   priced once per compile.  Because the model follows
    dependencies, not round labels, transfers in different rounds
    overlap exactly as the spawned wire processes of the exact engine
    do — non-power-of-two binomial trees, whose straggler
@@ -41,16 +41,28 @@ schedules (same builders, same selector decisions, same tag claims, same
 
 **Compile once, evaluate per instance.**  The first instance of a
 collective *shape* on a communicator compiles the per-rank DAGs into a
-:class:`_Plan`: the step order of a dependency walk, the send/receive
-pairing, the eager/rendezvous choice of every pair, the interned wire
-time of every leg (and the routed legs booked into
-:meth:`~repro.hw.topology.base.Topology.account` when accounting is on),
-the per-step round labels and ``n_rounds``.  Every instance — the
-compiling one included — is then priced by :meth:`_Plan.evaluate`, one
-straight-line pass over the plan that does the same float operations,
-in the same order, as the walk it was compiled from.  Times are
-therefore bit-identical whether a plan is fresh or reused, at any
-arrival skew, traced or not.
+:class:`_Plan`.  The compile is columnar: schedules store their steps
+as columns (:mod:`~repro.mpi.algorithms.schedule`), and
+:meth:`FastPathEngine._compile` concatenates every rank's columns into
+arrays and does with array operations what a per-step walk would do —
+pair every send with its receive (one lexsort), split eager from
+rendezvous pairs, intern each distinct wire leg's time (and book the
+routed legs into :meth:`~repro.hw.topology.base.Topology.account` when
+accounting is on, in instruction order), and order the steps by
+*level*: a Kahn frontier over the dependency edges plus the pair edges,
+a rendezvous pair coupled into one node.  A step's level counts the
+wire completions on its longest dependency path; computes add none.  A
+step the frontier never reaches is on or behind a cycle (or waits for
+a message no rank sends) and is reported as a stall with per-rank
+pending counts.  From that order the compile emits one pricing
+instruction per step, and every instance — the compiling one included
+— is priced by :meth:`_Plan.evaluate`, one straight-line pass over
+them.  The order is topological, ``max`` is exact and every addition
+is the same per step whatever order the steps are visited in, so times
+are bit-identical whether a plan is fresh or reused, at any arrival
+skew, traced or not.  A plan keeps its per-step state as ``numpy``
+columns plus the instruction list; buffers and compute ops are stored
+once per distinct value.
 
 **Hits never build.**  The dispatch layer hands every collective over
 as ``(build, shape, bufs)``, its tag block already claimed, so whether
@@ -68,24 +80,26 @@ alltoall, ranks passing different receive layouts) builds the
 schedules its hitting ranks skipped, over the buffers they bound, and
 is compiled and priced but not kept.
 
-**The data program.**  The compiling walk moves the compiling
-instance's data as it resolves each step, and records what it did as a
-straight-line list of slot-addressed operations: resolve a wire step's
-buffer in its rank's environment, run a compute op, snapshot a send
-whose receive is not yet posted, deliver a send into its posted
-receive, deliver a snapshot into its receive.  Delivery goes through
-``Communicator._deliver``, so a private payload is adopted by an
-adoptable scratch slot exactly as the matcher would.  A data-carrying
-hit replays the program over its bound environments
-(:meth:`_Plan.replay`).  Times do not depend on the walk's order, but
-data does: a pack is concatenated, and a rebound slot read, when its
-send resolves, and a later compute may rewrite them (Bruck alltoall
-packs its round-k+1 send from rows its round-k+1 unpack overwrites).
-So, as each rank's exact engine does, the walk runs every compute a
-resolution releases, transitively and lowest slot first, before it
-resolves the buffers of the wire steps released; it takes wire steps
-FIFO, posted receives first, so a send almost always delivers straight
-into its receive without a snapshot.
+**The data program.**  A data-carrying plan also records its data
+movement as a straight-line list of slot-addressed operations: resolve
+a wire step's buffer in its rank's environment, run a compute op,
+snapshot a send whose receive is not yet posted, deliver a send into
+its posted receive, deliver a snapshot into its receive.  Delivery goes
+through ``Communicator._deliver``, so a private payload is adopted by
+an adoptable scratch slot exactly as the matcher would.  The compiling
+instance and every data-carrying hit run the program over their bound
+environments (:meth:`_Plan.replay`).  Times do not depend on the
+order, but data does: a pack is concatenated, and a rebound slot read,
+when its send resolves, and a later compute may rewrite them (Bruck
+alltoall packs its round-k+1 send from rows its round-k+1 unpack
+overwrites).  So the program keeps the ordering rule of each rank's
+exact engine, level by level: the computes a level released run first
+(a chain of computes shares a level), lowest slot first; then the
+buffers of the wire steps the level released resolve; then payloads
+move — snapshots into receives posted at this level, then sends, which
+deliver straight into a receive posted at their level or earlier and
+are snapshotted otherwise.  Posted receives go before sends, so a send
+almost always delivers without a snapshot.
 
 The key is the ``shape`` tuple of ``collectives._call``: op,
 algorithm, root, and the signature of every buffer that sizes a wire
@@ -101,8 +115,8 @@ RMA epochs take their own analytic path in :mod:`repro.mpi.rma` — only
 schedule-compiled collectives take *this* one.  Selection thresholds,
 being driven by the same tuning, match the exact backend exactly.
 
-**Pricing-only mode** (``backend="pricing"``): the same walk with no
-data program and no bound buffers — computes never run and receive
+**Pricing-only mode** (``backend="pricing"``): the same compile with
+no data program and no bound buffers — computes never run and receive
 buffers are left untouched.  Message sizes are static (a region's, a
 slot's declared size), so simulated times stay bit-identical to
 ``analytic``.  This is the sweep mode: a 1024-rank collective costs
@@ -113,29 +127,25 @@ it communicates.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+
+import numpy as np
 
 from ...sim.batch import EventBatch
 from ...sim.core import Event, us
 from ..datatypes import HEADER_BYTES, ReduceOp, payload_array
 from ..errors import MpiError
 from .schedule import (
-    Schedule, ScheduleEngine, _Step, _round_name, new_environment, resolve,
-    run_op, span_name,
+    _ADOPT, _COMPUTE, _DONATE, _RECV, _SEND, Schedule, ScheduleEngine,
+    _round_name, new_environment, resolve, run_op, span_name,
 )
 
 __all__ = ["FastPathEngine"]
 
-_SEND = "send"
-_RECV = "recv"
-_COMPUTE = "compute"
-_OVERHEAD = "overhead"
-
-# Plan instruction kinds (see _Plan.evaluate).  A wire step that waits
-# for its pair emits nothing until the pair resolves.
+# Plan instruction kinds (see _Plan.evaluate).
 _K_COMPUTE = 0   # fin = ready
 _K_OVERHEAD = 1  # fin = ready + sw
 _K_READY = 2     # the first-ready side of a rendezvous pair: ready only
@@ -143,7 +153,7 @@ _K_ESEND = 3     # eager send: fin = ready + sw + wire
 _K_ERECV = 4     # eager receive: fin = max(ready + sw, send fin)
 _K_RNDV = 5      # second-ready side of a rendezvous pair: both finish
 
-# Data program operations (see _data_mover).
+# Data program operations (see _move).
 _D_RESOLVE = 0  # resolve a wire step's buffer in its rank's environment
 _D_COMPUTE = 1  # run a compute op
 _D_SNAP = 2     # snapshot a send whose receive is not yet posted
@@ -217,57 +227,61 @@ class _Instance:
         self.arrived += 1
 
 
-def _data_mover(flat: List[_Step], rank_of: List[int],
-                envs: List[Optional[List[Any]]], pair: List[int], stats):
-    """An executor of data-program operations over one instance's
-    steps (``flat``, by slot) and per-rank environments ``envs``."""
+def _move(ops: bytes, slots: List[int], refs: Tuple, ref_of: List[int],
+          flags: List[int], rank_of: List[int], pair: List[int],
+          envs: List[Optional[List[Any]]], stats) -> None:
+    """Run a data program over one instance's per-rank environments
+    ``envs``.  Per slot: its buffer or compute op ``refs[ref_of[g]]``,
+    its flags, its rank and its paired wire slot."""
     from ..communicator import Communicator
 
     deliver = Communicator._deliver
-    bufs: List[Any] = [None] * len(flat)
-    #: Per send slot, the payload snapshotted while its receive was
-    #: not yet posted.
-    held: List[Any] = [None] * len(flat)
-
-    def land(g: int, data, private: bool) -> None:
-        # Into receive slot g; an adoptable scratch slot may rebind.
-        st = flat[g]
-        if st.adopt:
-            deliver(bufs[g], data, private, stats, envs[rank_of[g]],
-                    st.buf.slot)
-        else:
-            deliver(bufs[g], data, private, stats)
-
-    def run(op: int, g: int) -> None:
+    #: Per wire slot, its resolved buffer; per send slot, the payload
+    #: snapshotted while its receive was not yet posted.
+    bufs: List[Any] = [None] * len(ref_of)
+    held: List[Any] = [None] * len(ref_of)
+    views = copies = 0
+    for op, g in zip(ops, slots):
         if op == _D_RESOLVE:
-            bufs[g] = resolve(envs[rank_of[g]], flat[g].buf)
-        elif op == _D_COMPUTE:
-            run_op(envs[rank_of[g]], flat[g].op)
-        elif op == _D_DIRECT:
+            bufs[g] = resolve(envs[rank_of[g]], refs[ref_of[g]])
+            continue
+        if op == _D_COMPUTE:
+            run_op(envs[rank_of[g]], refs[ref_of[g]])
+            continue
+        if op == _D_DIRECT:
             # Source → destination, no snapshot.  Only a donated
             # payload is private here (the live array is otherwise
             # still the sender's).
-            arr = payload_array(bufs[g])
-            if arr is not None:
-                stats.payload_views += 1
-            land(pair[g], arr, flat[g].donate)
+            data = payload_array(bufs[g])
+            if data is not None:
+                views += 1
+            private = bool(flags[g] & _DONATE)
+            g = pair[g]
         elif op == _D_SNAP:
-            arr = payload_array(bufs[g])
-            if arr is not None:
-                if flat[g].donate:
+            data = payload_array(bufs[g])
+            if data is not None:
+                if flags[g] & _DONATE:
                     # Donated: nothing writes the array again, so it
                     # can wait for its receive un-snapshotted.
-                    stats.payload_views += 1
+                    views += 1
                 else:
-                    arr = arr.copy()
-                    stats.payload_copies += 1
-            held[g] = arr
+                    data = data.copy()
+                    copies += 1
+            held[g] = data
+            continue
         else:  # _D_TAKE
             # Held payloads are private either way (donated or freshly
             # snapshotted): adoptable at the receive.
-            land(g, held[pair[g]], True)
-
-    return run
+            data = held[pair[g]]
+            private = True
+        # Into receive slot g; an adoptable scratch slot may rebind.
+        if flags[g] & _ADOPT:
+            deliver(bufs[g], data, private, stats, envs[rank_of[g]],
+                    refs[ref_of[g]].slot)
+        else:
+            deliver(bufs[g], data, private, stats)
+    stats.payload_views += views
+    stats.payload_copies += copies
 
 
 @dataclass(eq=False)
@@ -276,15 +290,17 @@ class _Plan:
 
     Steps are numbered rank-major: rank ``r``'s step ``i`` is slot
     ``offsets[r] + i``.  A plan lives as long as its communicator, so
-    it shares what repeats: slot numbers, dependency tuples, legs and
-    interned wire times are stored once.
+    what it keeps per step is columns (``numpy`` arrays), plus the
+    straight-line pricing code; legs and wire times are interned.
     """
 
-    #: One instruction per resolution event of the compiling walk, in
-    #: walk order: ``(kind, slot, rank, dep slots, arg)``.
+    #: One instruction per step, in level order (see
+    #: :meth:`FastPathEngine._compile`): ``(kind, slot, rank, dep
+    #: slots, arg)``.
     code: List[Tuple]
-    #: Every priced wire leg ``(src_node, dst_node, nbytes)``, in the
-    #: order the walk priced them (for ``Topology.account``).
+    #: Every priced wire leg ``(src_node, dst_node, nbytes)``, in
+    #: instruction order, each pair's legs in protocol order (for
+    #: ``Topology.account``).
     legs: List[Tuple[int, int, int]]
     offsets: List[int]
     n_steps: List[int]
@@ -292,7 +308,7 @@ class _Plan:
     #: Per rank, its schedule's ``n_rounds``; per slot, its step's
     #: round label — what the traced span tree is drawn from.
     rank_rounds: List[int]
-    rounds: List[int]
+    rounds: np.ndarray
     #: Per rank, the byte sizes of the user buffers it was compiled
     #: over (what a hit's bound buffers must match).
     sizes: List[Tuple]
@@ -303,13 +319,16 @@ class _Plan:
     #: it applies to.  Empty for a data-free shape or a pricing-only
     #: engine, and then so are the fields below.
     data_ops: bytes = b""
-    data_slots: Tuple[int, ...] = ()
-    #: The compiled steps (their buffers and compute ops), each slot's
-    #: rank, the pairing of wire slots, and per rank its scratch
-    #: declarations — what a hit binds and replays.
-    steps: Tuple[_Step, ...] = ()
-    rank_of: Tuple[int, ...] = ()
-    pair: Tuple[int, ...] = ()
+    data_slots: Optional[np.ndarray] = None
+    #: The distinct buffers and compute ops of the compiled steps, and
+    #: per slot: which of them is its own, its flags, its rank and its
+    #: paired wire slot; per rank, its scratch declarations — what a
+    #: hit binds and replays.
+    refs: Tuple = ()
+    ref_of: Optional[np.ndarray] = None
+    flags: Optional[np.ndarray] = None
+    rank_of: Optional[np.ndarray] = None
+    pair: Optional[np.ndarray] = None
     scratch: Tuple = ()
 
     def _check_sizes(self, rank: int, bufs) -> None:
@@ -333,11 +352,11 @@ class _Plan:
     def check(self, rank: int, sched: Schedule) -> None:
         """Raise unless ``rank``'s built schedule is the DAG (and binds
         the buffer sizes) the plan was compiled from."""
-        if len(sched.steps) != self.n_steps[rank]:
+        if len(sched) != self.n_steps[rank]:
             raise MpiError(
                 f"fast-path plan for {self.name!r} has "
                 f"{self.n_steps[rank]} steps on rank {rank}, the schedule "
-                f"{len(sched.steps)}: the shape key misses an input "
+                f"{len(sched)}: the shape key misses an input "
                 "that changes the DAG"
             )
         self._check_sizes(rank, sched.user)
@@ -345,9 +364,9 @@ class _Plan:
     def replay(self, envs: List[Optional[List[Any]]], stats) -> None:
         """Move one instance's data: run the data program over its
         bound environments."""
-        run = _data_mover(self.steps, self.rank_of, envs, self.pair, stats)
-        for op, g in zip(self.data_ops, self.data_slots):
-            run(op, g)
+        _move(self.data_ops, self.data_slots.tolist(), self.refs,
+              self.ref_of.tolist(), self.flags.tolist(),
+              self.rank_of.tolist(), self.pair.tolist(), envs, stats)
 
     def evaluate(
         self, arrivals: List[float], sw: float, acct: Optional[Callable]
@@ -540,7 +559,7 @@ class FastPathEngine(ScheduleEngine):
         comm = self.comm
         size = comm.size
         name = plan.name
-        rounds = plan.rounds
+        rounds = plan.rounds.tolist()
         arrivals = inst.arrivals
         now = comm.sim.now
         ftrack = f"{comm.root_comm.name}.fastpath"
@@ -583,220 +602,332 @@ class FastPathEngine(ScheduleEngine):
                       attrs={"n_ranks": size})
 
     def _compile(self, inst: _Instance) -> _Plan:
-        """Compile the instance's DAGs into a :class:`_Plan`, moving its
-        data on the way (unless the engine is pricing-only or the shape
-        is data-free).
+        """Compile the instance's DAGs into a :class:`_Plan` with array
+        operations over all ranks' step columns, then move the
+        instance's data with the plan's own data program (unless the
+        engine is pricing-only or the shape is data-free).
 
-        The walk is a dependency-order resolution over all ranks' DAGs:
-        every step becomes ready the moment its dependencies finish
-        (wire steps are spawned processes in the exact engine, so
-        independent steps overlap freely), and a wire pair resolves
-        when the protocol says both of its times are known.  It takes
-        steps in the order the module doc's data ordering rule sets; a
-        step it never resolves is reported as a stall.
+        1. **Pair** every send with a receive: one lexsort of the wire
+           steps on (communicator, source, destination, tag, step) —
+           the matcher is non-overtaking per key, so the k-th send of a
+           key meets its k-th receive.  Communicators are numbered in
+           order of first appearance.
+        2. **Split** eager from rendezvous pairs on the vector of send
+           sizes.
+        3. **Level** the steps: a Kahn frontier over dependency edges
+           plus pair edges (an eager send precedes its receive; a
+           rendezvous pair is one node, released when both sides are).
+           A step's level counts the wire completions on its longest
+           path — computes add none, so a chain of computes shares its
+           level.  A step no frontier reaches is reported as a stall.
+        4. **Emit** one pricing instruction per step in (level;
+           computes, then eager sends and overheads, eager receives,
+           rendezvous pairs; slot) order.  That is a topological order,
+           so :meth:`_Plan.evaluate` does the same float operations per
+           step as any dependency-order walk: times are bit-identical.
+        5. **Intern legs**: one ``wire_time`` call per distinct
+           ``(src_node, dst_node, nbytes)`` leg; ``Topology.account``
+           books the legs in instruction order, each pair's in protocol
+           order (eager: payload; rendezvous: RTS, CTS, payload).
+        6. **Data program** (data-carrying shapes): the module doc's
+           ordering rule, level by level — computes (lowest slot
+           first), then the buffers of the wire steps the level
+           released, then deliveries, receives before sends.
         """
         comm = self.comm
-        eager_max = comm._ib.eager_threshold
-        size = comm.size
-        ctxs = inst.ctxs
-        scheds = inst.scheds
-        steps_of = [scheds[r].steps for r in range(size)]
-        offsets = [0]
-        for steps in steps_of:
-            offsets.append(offsets[-1] + len(steps))
-        flat = [st for steps in steps_of for st in steps]
-        rank_of = [r for r in range(size) for _ in steps_of[r]]
-        #: One int object per slot number, shared by everything the
-        #: plan stores (slot numbers past 256 are not cached by Python).
-        ids = list(range(len(flat)))
-        moves = not self.price_only and any(
-            st.buf is not None or st.kind == _COMPUTE for st in flat
+        cols = _Columns(inst.scheds)
+        n, kind, rank_of = cols.n, cols.kind, cols.rank_of
+        comms, comm_of, local = self._endpoints(cols)
+        snd, rcv = _pair(cols, comm_of, local)
+        pair = np.full(n, -1, dtype=np.int64)
+        pair[snd] = rcv
+        pair[rcv] = snd
+        nbytes = cols.column("size", np.int64)[snd]
+        eager = nbytes <= comm._ib.eager_threshold
+
+        # A rendezvous receive's dependencies gate its send.
+        rndv_recv = np.zeros(n, dtype=bool)
+        rndv_recv[rcv[~eager]] = True
+        owner, src = cols.dep_owner, cols.dep_src
+        gated = np.where(rndv_recv[owner], pair[owner], owner)
+        is_wire = (kind != _COMPUTE).astype(np.int64)
+        level, reached = _levels(
+            n, np.concatenate([src, snd]), np.concatenate([gated, rcv]),
+            np.concatenate([is_wire[src], np.zeros(len(snd), np.int64)]),
+            (pair < 0) & ((kind == _SEND) | (kind == _RECV)),
         )
-
-        # LIGHT pairing: k-th send on a (comm, src, dst, tag) key pairs
-        # with the k-th receive, both in step-index order — the
-        # matcher's per-key FIFO guarantees non-overtaking, and every
-        # schedule builder issues same-key wire steps dep-ordered.
-        # Each send slot also gets its (src, dst) nodes.
-        sends: Dict[Tuple, List[int]] = {}
-        recvs: Dict[Tuple, List[int]] = {}
-        nodes: Dict[int, Tuple[int, int]] = {}
-        for g, st in enumerate(flat):
-            if st.kind == _SEND:
-                tctx = st.via if st.via is not None else ctxs[rank_of[g]]
-                tcomm = tctx.comm
-                sends.setdefault(
-                    (id(tcomm), tctx.rank, st.peer, st.tag), []
-                ).append(g)
-                nodes[g] = (tcomm.placement[tctx.rank],
-                            tcomm.placement[st.peer])
-            elif st.kind == _RECV:
-                tctx = st.via if st.via is not None else ctxs[rank_of[g]]
-                recvs.setdefault(
-                    (id(tctx.comm), st.peer, tctx.rank, st.tag), []
-                ).append(g)
-        pair = [-1] * len(flat)
-        for key, ss in sends.items():
-            for gs, gr in zip(ss, recvs.get(key, ())):
-                pair[gs] = ids[gr]
-                pair[gr] = ids[gs]
-
-        # Dependency tuples and legs repeat across the plan; store each
-        # once.
-        shared: Dict[Tuple, Tuple] = {}
-        deps_of = [
-            shared.setdefault(key, key) for key in (
-                tuple([ids[offsets[r] + d] for d in st.deps])
-                for r, st in zip(rank_of, flat)
-            )
-        ]
-        missing = [len(deps) for deps in deps_of]
-        dependents: List[List[int]] = [[] for _ in flat]
-        for g, deps in enumerate(deps_of):
-            for d in deps:
-                dependents[d].append(ids[g])
-        ready = [False] * len(flat)
-        resolved = [False] * len(flat)
-        legs: List[Tuple[int, int, int]] = []
-        wire_time = comm.cluster.interconnect.wire_time
-
-        def wt(src: int, dst: int, n: int) -> float:
-            leg = (src, dst, n)
-            legs.append(shared.setdefault(leg, leg))
-            return wire_time(src, dst, n)
-
-        code: List[Tuple] = []
-        emit = code.append
-        data_ops = bytearray()
-        data_slots: List[int] = []
-        if moves:
-            run = _data_mover(flat, rank_of, inst.envs, pair,
-                              comm.sim.stats)
-
-        def move(op: int, g: int) -> None:
-            data_ops.append(op)
-            data_slots.append(g)
-            run(op, g)
-
-        # Wire steps waiting to be taken, FIFO: posted receives first,
-        # then sends and overheads.
-        recvq: deque = deque()
-        sendq: deque = deque()
-        computes: List[int] = []  # min-heap of released compute slots
-        wires: List[int] = []     # released wire steps, buffers unresolved
-
-        def release(g: int) -> None:
-            if flat[g].kind == _COMPUTE:
-                heapq.heappush(computes, g)
-            else:
-                wires.append(g)
-
-        def resolve_step(g: int) -> None:
-            resolved[g] = True
-            for j in dependents[g]:
-                missing[j] -= 1
-                if missing[j] == 0:
-                    release(j)
-
-        for g, m in enumerate(missing):
-            if m == 0:
-                release(ids[g])
-        while True:
-            # Run every compute the last resolution released,
-            # transitively; only then resolve the released wire steps'
-            # buffers.
-            while computes:
-                g = heapq.heappop(computes)
-                if moves:
-                    move(_D_COMPUTE, g)
-                emit((_K_COMPUTE, g, rank_of[g], deps_of[g], None))
-                resolve_step(g)
-            for g in wires:
-                kind = flat[g].kind
-                if moves and kind != _OVERHEAD:
-                    move(_D_RESOLVE, g)
-                (recvq if kind == _RECV else sendq).append(g)
-            wires.clear()
-
-            if recvq:
-                g = recvq.popleft()
-            elif sendq:
-                g = sendq.popleft()
-            else:
-                break
-            r = rank_of[g]
-            deps = deps_of[g]
-            kind = flat[g].kind
-            go = pair[g]
-            ready[g] = True
-            if kind == _OVERHEAD:
-                emit((_K_OVERHEAD, g, r, deps, None))
-                resolve_step(g)
-            elif go < 0:
-                pass  # unmatched: reported as a stall below
-            elif kind == _SEND:
-                if moves:
-                    move(_D_DIRECT if ready[go] else _D_SNAP, g)
-                src, dst = nodes[g]
-                n = scheds[r].nbytes(flat[g].buf)
-                if n <= eager_max:
-                    emit((_K_ESEND, g, r, deps,
-                          wt(src, dst, n + HEADER_BYTES)))
-                    resolve_step(g)
-                    if ready[go]:
-                        emit((_K_ERECV, go, rank_of[go], deps_of[go], g))
-                        resolve_step(go)
-                elif ready[go]:
-                    emit((_K_READY, go, rank_of[go], deps_of[go], None))
-                    emit((_K_RNDV, g, r, deps, (
-                        go, True, wt(src, dst, HEADER_BYTES),
-                        wt(dst, src, HEADER_BYTES), wt(src, dst, n),
-                    )))
-                    resolve_step(g)
-                    resolve_step(go)
-                # else parked; the receive side resolves the pair
-            elif ready[go]:
-                if moves:
-                    move(_D_TAKE, g)
-                src, dst = nodes[go]
-                n = scheds[rank_of[go]].nbytes(flat[go].buf)
-                if n <= eager_max:
-                    emit((_K_ERECV, g, r, deps, go))
-                    resolve_step(g)
-                else:
-                    emit((_K_READY, go, rank_of[go], deps_of[go], None))
-                    emit((_K_RNDV, g, r, deps, (
-                        go, False, wt(src, dst, HEADER_BYTES),
-                        wt(dst, src, HEADER_BYTES), wt(src, dst, n),
-                    )))
-                    resolve_step(go)
-                    resolve_step(g)
-            # else posted; the send side resolves the pair
-
-        if not all(resolved):
-            stuck: Dict[int, int] = {}
-            for g, ok in enumerate(resolved):
-                if not ok:
-                    stuck[rank_of[g]] = stuck.get(rank_of[g], 0) + 1
+        if not reached.all():
+            stuck = np.bincount(rank_of[~reached], minlength=comm.size)
             raise MpiError(
                 "fast-path schedule stalled (cyclic or unmatched "
-                f"wire steps); pending steps per rank: {stuck}"
+                "wire steps); pending steps per rank: "
+                f"{ {r: int(c) for r, c in enumerate(stuck) if c} }"
             )
 
-        rank_rounds = [scheds[r].n_rounds for r in range(size)]
+        # Instruction order and kinds.
+        cat = np.where(kind == _COMPUTE, 0, 1).astype(np.int8)
+        ikind = np.where(kind == _COMPUTE, _K_COMPUTE, _K_OVERHEAD)
+        rs, rr, es, er = snd[~eager], rcv[~eager], snd[eager], rcv[eager]
+        cat[er] = 2
+        cat[rs] = cat[rr] = 3
+        ikind[es], ikind[er] = _K_ESEND, _K_ERECV
+        ikind[rr], ikind[rs] = _K_READY, _K_RNDV
+        # A rendezvous pair: its receive's READY right before its
+        # send's RNDV.
+        grp = np.arange(n)
+        grp[rr] = rs
+        order = np.lexsort((kind == _SEND, grp, cat, level))
+
+        #: One int object per slot number, shared by everything the
+        #: code stores (slot numbers past 256 are not cached by Python).
+        ids = list(range(n))
+        args: List[Any] = [None] * n
+        for g, s in zip(er.tolist(), es.tolist()):
+            args[g] = ids[s]
+        sends = order[kind[order] == _SEND]  # all paired: no stall
+        legs = self._price_legs(sends, pair, nbytes, eager, snd, comms,
+                                comm_of, local, cols.peer, args, ids)
+        slots = list(map(ids.__getitem__, order.tolist()))
         plan = _Plan(
-            code=code, legs=legs, offsets=offsets,
-            n_steps=[len(steps) for steps in steps_of],
-            n_rounds=max(rank_rounds, default=0),
-            rank_rounds=rank_rounds, rounds=[st.round for st in flat],
-            sizes=[_sizes(scheds[r].user) for r in range(size)],
+            code=list(zip(
+                ikind[order].tolist(), slots, rank_of[order].tolist(),
+                _dep_tuples(cols, order, ids), map(args.__getitem__, slots),
+            )),
+            legs=legs, offsets=cols.offsets, n_steps=cols.counts,
+            n_rounds=max(cols.n_rounds, default=0),
+            rank_rounds=cols.n_rounds, rounds=cols.column("round", np.int32),
+            sizes=[_sizes(sc.user) for sc in inst.scheds],
             name=span_name(inst.label), nbytes=inst.nbytes,
         )
-        if moves:
-            plan.data_ops = bytes(data_ops)
-            plan.data_slots = tuple(data_slots)
-            plan.steps = tuple(flat)
-            plan.rank_of = tuple(rank_of)
-            plan.pair = tuple(pair)
-            plan.scratch = tuple(scheds[r].scratch_specs for r in range(size))
+        bufs = cols.values("buf")
+        if not self.price_only and (
+            bufs.count(None) < n or bool((kind == _COMPUTE).any())
+        ):
+            # Where each step's own dependencies are met: a wire step's
+            # buffer resolves at that level.
+            release = np.zeros(n, dtype=np.int64)
+            np.maximum.at(release, owner, level[src] + is_wire[src])
+            _data_program(plan, cols, bufs, level, release, pair, snd, rcv)
+            plan.replay(inst.envs, comm.sim.stats)
         return plan
+
+    def _endpoints(self, cols: "_Columns"):
+        """The communicators the steps' wire traffic runs on (this one
+        first, derived ones in order of first appearance) and, per
+        step, the index of its communicator and its rank there."""
+        n = cols.n
+        vias = cols.values("via")
+        if vias.count(None) == n:
+            return [self.comm], np.zeros(n, dtype=np.int64), cols.rank_of
+        comm_ix = {self.comm: 0}
+        row = {None: 0}
+        row_comm, row_rank = [0], [-1]
+        for v in dict.fromkeys(vias):
+            if v is not None:
+                row[v] = len(row_comm)
+                row_comm.append(comm_ix.setdefault(v.comm, len(comm_ix)))
+                row_rank.append(v.rank)
+        vi = np.fromiter(map(row.__getitem__, vias), np.int64, n)
+        local = np.where(vi == 0, cols.rank_of, np.asarray(row_rank)[vi])
+        return list(comm_ix), np.asarray(row_comm)[vi], local
+
+    def _price_legs(self, sends, pair, nbytes, eager, snd, comms, comm_of,
+                    local, peer, args, ids) -> List[Tuple[int, int, int]]:
+        """Price the wire legs of the paired ``sends`` (in instruction
+        order) with one ``wire_time`` call per distinct leg, store each
+        send's instruction argument in ``args``, and return every leg
+        in instruction order."""
+        placement = np.concatenate(
+            [np.asarray(c.placement, dtype=np.int64) for c in comms]
+        )
+        base = np.cumsum([0] + [len(c.placement) for c in comms])
+        at = base[comm_of[sends]]
+        a = placement[at + local[sends]]
+        b = placement[at + peer[sends]]
+        k = np.empty(len(pair), dtype=np.int64)
+        k[snd] = np.arange(len(snd))
+        e, nb = eager[k[sends]], nbytes[k[sends]]
+        # Eager: one leg (payload + header).  Rendezvous: RTS, CTS,
+        # payload.
+        per = np.where(e, 1, 3)
+        first = np.cumsum(per) - per
+        rep = np.repeat(np.arange(len(sends)), per)
+        j = np.arange(len(rep)) - first[rep]
+        fwd = e[rep] | (j != 1)
+        leg = np.stack([
+            np.where(fwd, a[rep], b[rep]), np.where(fwd, b[rep], a[rep]),
+            np.where(e[rep], nb[rep] + HEADER_BYTES,
+                     np.where(j == 2, nb[rep], HEADER_BYTES)),
+        ])
+        distinct, inv = np.unique(leg, axis=1, return_inverse=True)
+        distinct = list(zip(*distinct.tolist()))
+        wire_time = self.comm.cluster.interconnect.wire_time
+        cost = [wire_time(*d) for d in distinct]
+        inv = inv.tolist()
+        t = list(map(cost.__getitem__, inv))
+        for g, f, eg, r in zip(sends.tolist(), first.tolist(), e.tolist(),
+                               pair[sends].tolist()):
+            args[g] = t[f] if eg else (
+                ids[r], True, t[f], t[f + 1], t[f + 2]
+            )
+        return list(map(distinct.__getitem__, inv))
+
+
+class _Columns:
+    """All ranks' step columns, concatenated rank-major (rank ``r``'s
+    step ``i`` is slot ``offsets[r] + i``), with the dependency edges
+    in global slot numbers."""
+
+    def __init__(self, scheds: List[Schedule]) -> None:
+        self.scheds = scheds
+        self.counts = [len(sc) for sc in scheds]
+        self.offsets = [0]
+        for c in self.counts:
+            self.offsets.append(self.offsets[-1] + c)
+        self.n = self.offsets[-1]
+        self.n_rounds = [sc.n_rounds for sc in scheds]
+        self.kind = self.column("kind", np.int8)
+        self.peer = self.column("peer", np.int64)
+        self.rank_of = np.repeat(np.arange(len(scheds)), self.counts)
+        deps = self.values("deps")
+        self.ndeps = np.fromiter(map(len, deps), np.int64, self.n)
+        #: Edge ``i``: slot ``dep_src[i]`` gates slot ``dep_owner[i]``.
+        self.dep_owner = np.repeat(np.arange(self.n), self.ndeps)
+        self.dep_src = np.fromiter(
+            chain.from_iterable(deps), np.int64, len(self.dep_owner)
+        ) + np.asarray(self.offsets[:-1])[self.rank_of[self.dep_owner]]
+
+    def values(self, name: str) -> List[Any]:
+        """Column ``name`` over every slot, as a list."""
+        return list(chain.from_iterable(
+            getattr(sc, name) for sc in self.scheds
+        ))
+
+    def column(self, name: str, dtype) -> np.ndarray:
+        """Column ``name`` over every slot, as an array."""
+        return np.fromiter(chain.from_iterable(
+            getattr(sc, name) for sc in self.scheds
+        ), dtype, self.n)
+
+
+def _pair(cols: _Columns, comm_of: np.ndarray,
+          local: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The paired wire slots: sends, and the receive each pairs with.
+
+    Sorted by (communicator, source, destination, tag, receives after
+    sends, slot), every key's sends and then its receives are runs in
+    step order, and the k-th send meets the k-th receive."""
+    kind = cols.kind
+    w = np.flatnonzero((kind == _SEND) | (kind == _RECV))
+    if not len(w):
+        return w, w
+    ws = kind[w] == _SEND
+    peer, me = cols.peer[w], local[w]
+    keys = np.stack([
+        comm_of[w], np.where(ws, me, peer), np.where(ws, peer, me),
+        cols.column("tag", np.int64)[w],
+    ])
+    o = np.lexsort((w, ~ws, *keys[::-1]))
+    w, ws, keys = w[o], ws[o], keys[:, o]
+    new = np.ones(len(w), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new)
+    key = np.cumsum(new) - 1
+    n_sends = np.add.reduceat(ws.astype(np.int64), starts)
+    n_recvs = np.diff(np.append(starts, len(w))) - n_sends
+    pos = np.arange(len(w)) - starts[key]
+    paired = ws & (pos < n_recvs[key])
+    return w[paired], w[(starts[key] + n_sends[key] + pos)[paired]]
+
+
+def _levels(n: int, e_src: np.ndarray, e_dst: np.ndarray, e_w: np.ndarray,
+            blocked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Longest-path levels of an ``n``-node graph of weighted edges
+    ``e_src → e_dst`` (weight ``e_w``), by a Kahn frontier; ``blocked``
+    nodes (unmatched wire steps) never enter it.  Returns the levels
+    and which nodes the frontier reached (a node on or behind a cycle
+    is never reached)."""
+    indeg = np.bincount(e_dst, minlength=n) + blocked
+    by_src = np.argsort(e_src, kind="stable")
+    out_dst = e_dst[by_src]
+    out_w = e_w[by_src]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(e_src, minlength=n), out=ptr[1:])
+    level = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.flatnonzero(indeg == 0)
+    while len(frontier):
+        reached[frontier] = True
+        lo = ptr[frontier]
+        cnt = ptr[frontier + 1] - lo
+        if not cnt.any():
+            break
+        edge = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(
+            cnt.sum()
+        )
+        d = out_dst[edge]
+        np.maximum.at(level, d, np.repeat(level[frontier], cnt) + out_w[edge])
+        d, hits = np.unique(d, return_counts=True)
+        indeg[d] -= hits
+        frontier = d[indeg[d] == 0]
+    return level, reached
+
+
+def _dep_tuples(cols: _Columns, order: np.ndarray,
+                ids: List[int]) -> List[Tuple]:
+    """The dependency tuples (global slot numbers) of the steps in
+    ``order``, built column-wise per dependency count; equal tuples
+    are shared (a round's send and receive often wait on the same
+    steps)."""
+    count = cols.ndeps[order]
+    first = (np.cumsum(cols.ndeps) - cols.ndeps)[order]
+    out: List[Tuple] = [()] * len(order)
+    shared: Dict[Tuple, Tuple] = {}
+    for m in np.unique(count[count > 0]).tolist():
+        rows = np.flatnonzero(count == m)
+        at = first[rows]
+        tuples = list(zip(*[
+            map(ids.__getitem__, cols.dep_src[at + j].tolist())
+            for j in range(m)
+        ]))
+        deque(map(out.__setitem__, rows.tolist(),
+                  map(shared.setdefault, tuples, tuples)), maxlen=0)
+    return out
+
+
+def _data_program(plan: _Plan, cols: _Columns, bufs: List[Any],
+                  level: np.ndarray, release: np.ndarray, pair: np.ndarray,
+                  snd: np.ndarray, rcv: np.ndarray) -> None:
+    """Record ``plan``'s data program (module doc) and the columns it
+    runs on.  Level by level: computes by slot, then the buffers of the
+    wire steps released at the level, then deliveries — snapshotted
+    payloads into receives posted at this level, then sends, which
+    deliver straight into a receive posted at their level or earlier
+    and are snapshotted otherwise."""
+    objs = [b if b is not None else op
+            for b, op in zip(bufs, cols.values("op"))]
+    index = {x: i for i, x in enumerate(dict.fromkeys(objs))}
+    comp = np.flatnonzero(cols.kind == _COMPUTE)
+    wire = np.flatnonzero(pair >= 0)
+    late = release[rcv] > release[snd]  # receive posted after its send
+    take = rcv[late]
+    slots = np.concatenate([comp, wire, take, snd])
+    o = np.lexsort((
+        slots,
+        np.repeat(np.arange(4), [len(comp), len(wire), len(take), len(snd)]),
+        np.concatenate([level[comp], release[wire], release[take],
+                        release[snd]]),
+    ))
+    ops = np.concatenate([
+        np.full(len(comp), _D_COMPUTE), np.full(len(wire), _D_RESOLVE),
+        np.full(len(take), _D_TAKE), np.where(late, _D_SNAP, _D_DIRECT),
+    ])
+    plan.data_ops = ops[o].astype(np.uint8).tobytes()
+    plan.data_slots = slots[o].astype(np.int32)
+    plan.refs = tuple(index)
+    plan.ref_of = np.fromiter(map(index.__getitem__, objs), np.int32,
+                              cols.n)
+    plan.flags = cols.column("flags", np.uint8)
+    plan.rank_of = cols.rank_of.astype(np.int32)
+    plan.pair = pair.astype(np.int32)
+    plan.scratch = tuple(sc.scratch_specs for sc in cols.scheds)

@@ -47,6 +47,16 @@ adopts a donated payload), so a wire step reads its buffer from the
 environment when it starts.  The same descriptors drive both engines,
 and a fast-path plan replays them over freshly bound buffers without
 calling the builder.
+
+**Steps are columns.**  A schedule keeps no object per step: step ``i``
+is entry ``i`` of one list per field (``kind``, ``deps``, ``round``,
+``peer``, ``tag``, ``buf``, ``op``, ``via``, ``flags`` and the send
+payload size ``size``), appended by the builder API
+(:meth:`Schedule.send` / ``recv`` / ``copy`` / ``combine`` / ``reduce``
+/ ``overhead``).  The exact engine reads the columns directly; the
+fast path concatenates every rank's columns into arrays and compiles
+them with array operations.  :attr:`Schedule.steps` materializes
+read-only :class:`_Step` records for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -95,10 +105,17 @@ class Pack(NamedTuple):
 
 Buf = Union[Ref, Pack, None]
 
-_SEND = "send"
-_RECV = "recv"
-_COMPUTE = "compute"
-_OVERHEAD = "overhead"
+# Step kinds (the ``kind`` column).
+_SEND = 0
+_RECV = 1
+_COMPUTE = 2
+_OVERHEAD = 3
+_KIND_NAMES = ("send", "recv", "compute", "overhead")
+
+# Wire-step flags (the ``flags`` column; see _Step).
+_ALIAS_OK = 1
+_DONATE = 2
+_ADOPT = 4
 
 # Compute op codes (see run_op).
 _COPY = 0     # (code, src, dst): dst[...] = src; a pack dst scatters
@@ -173,9 +190,10 @@ def run_op(env: List[Any], op: Tuple) -> None:
         env[slot] = env[rop.slot].combine(_view(env, a), _view(env, b))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class _Step:
-    """One node of the schedule DAG (plain data: no buffers, no
+    """One node of the schedule DAG, as :attr:`Schedule.steps`
+    materializes it from the columns (plain data: no buffers, no
     functions)."""
 
     idx: int
@@ -212,7 +230,8 @@ class _Step:
 
 
 class Schedule:
-    """A per-rank DAG of communication/compute steps over slots.
+    """A per-rank DAG of communication/compute steps over slots, stored
+    as one column per step field (see the module doc).
 
     ``Schedule(*user)`` makes ``user[i]`` slot ``i``; :meth:`scratch`
     declares more.  A payload passed where a :class:`Ref` is expected
@@ -221,7 +240,20 @@ class Schedule:
     """
 
     def __init__(self, *user: Payload) -> None:
-        self.steps: List[_Step] = []
+        #: Step columns: entry ``i`` of each list is step ``i``'s field.
+        self.kind: List[int] = []
+        self.deps: List[Tuple[int, ...]] = []
+        self.round: List[int] = []
+        self.peer: List[int] = []
+        self.tag: List[int] = []
+        self.buf: List[Buf] = []
+        self.op: List[Optional[Tuple]] = []
+        self.via: List[Optional[MpiContext]] = []
+        #: ``_ALIAS_OK | _DONATE | _ADOPT`` bits.
+        self.flags: List[int] = []
+        #: Send steps: the static payload size (``nbytes`` of ``buf``);
+        #: 0 for every other step.
+        self.size: List[int] = []
         #: The user's buffers, slots ``0 .. len(user) - 1``.
         self.user: List[Payload] = list(user)
         #: Scratch declarations, one per slot past the user's:
@@ -232,18 +264,30 @@ class Schedule:
         self.shape: Optional[Tuple] = None
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.kind)
+
+    @property
+    def steps(self) -> Tuple[_Step, ...]:
+        """Read-only records of the steps (tests, diagnostics)."""
+        return tuple(
+            _Step(i, _KIND_NAMES[k], d, rd, p, t, b, o, v,
+                  bool(f & _ALIAS_OK), bool(f & _DONATE), bool(f & _ADOPT))
+            for i, (k, d, rd, p, t, b, o, v, f) in enumerate(zip(
+                self.kind, self.deps, self.round, self.peer, self.tag,
+                self.buf, self.op, self.via, self.flags,
+            ))
+        )
 
     @property
     def last(self) -> int:
         """Index of the most recently added step."""
-        if not self.steps:
+        if not self.kind:
             raise MpiError("empty schedule has no last step")
-        return len(self.steps) - 1
+        return len(self.kind) - 1
 
     @property
     def n_rounds(self) -> int:
-        return 1 + max((s.round for s in self.steps), default=-1)
+        return 1 + max(self.round, default=-1)
 
     # -- slots ---------------------------------------------------------------
     def scratch(self, count: int, dtype: Any = np.uint8,
@@ -286,14 +330,26 @@ class Schedule:
         return Ref(len(self.user) - 1)
 
     # -- steps ---------------------------------------------------------------
-    def _add(self, step: _Step) -> int:
-        for d in step.deps:
-            if not (0 <= d < len(self.steps)):
-                raise MpiError(
-                    f"step {step.idx} depends on unknown step {d}"
-                )
-        self.steps.append(step)
-        return step.idx
+    def _add(self, kind: int, after: Sequence[int], round: int,
+             peer: int = -1, tag: int = -1, buf: Buf = None,
+             op: Optional[Tuple] = None, via: Optional[MpiContext] = None,
+             flags: int = 0, size: int = 0) -> int:
+        idx = len(self.kind)
+        deps = tuple(after)
+        if deps and (min(deps) < 0 or max(deps) >= idx):
+            bad = [d for d in deps if not 0 <= d < idx]
+            raise MpiError(f"step {idx} depends on unknown step {bad[0]}")
+        self.kind.append(kind)
+        self.deps.append(deps)
+        self.round.append(round)
+        self.peer.append(peer)
+        self.tag.append(tag)
+        self.buf.append(buf)
+        self.op.append(op)
+        self.via.append(via)
+        self.flags.append(flags)
+        self.size.append(size)
+        return idx
 
     def send(
         self,
@@ -315,11 +371,12 @@ class Schedule:
         additionally gives the array away to an adopting receive (see
         :class:`_Step`).
         """
-        return self._add(_Step(
-            len(self.steps), _SEND, tuple(after), round, peer, tag,
-            buf=self._ref(buf), via=via, alias_ok=alias_ok or donate,
-            donate=donate,
-        ))
+        ref = self._ref(buf)
+        flags = _ALIAS_OK | _DONATE if donate else (
+            _ALIAS_OK if alias_ok else 0
+        )
+        return self._add(_SEND, after, round, peer, tag, ref, None, via,
+                         flags, self.nbytes(ref))
 
     def recv(
         self,
@@ -335,55 +392,47 @@ class Schedule:
         ref = self._ref(buf)
         k = ref.slot - len(self.user) if ref.__class__ is Ref else -1
         adopt = k >= 0 and ref.hi < 0 and self.scratch_specs[k][3]
-        return self._add(_Step(
-            len(self.steps), _RECV, tuple(after), round, peer, tag,
-            buf=ref, via=via, adopt=adopt,
-        ))
-
-    def _compute(self, op: Tuple, after: Sequence[int], round: int) -> int:
-        return self._add(_Step(
-            len(self.steps), _COMPUTE, tuple(after), round, op=op,
-        ))
+        return self._add(_RECV, after, round, peer, tag, ref, None, via,
+                         _ADOPT if adopt else 0)
 
     def copy(self, src: Union[Ref, Pack], dst: Union[Ref, Pack],
              after: Sequence[int] = (), round: int = 0) -> int:
         """``dst[...] = src``.  Two whole slots copy typed (reshaped to
         ``dst``; skipped when either is a timing-only payload); anything
         else copies bytes, a pack ``dst`` taking them part by part."""
-        return self._compute((_COPY, src, dst), after, round)
+        return self._add(_COMPUTE, after, round, op=(_COPY, src, dst))
 
     def combine(self, op: Ref, a: Ref, b: Ref, dst: Ref,
                 after: Sequence[int] = (), round: int = 0) -> int:
         """``dst[...] = op(a, b)`` in place, in the slots' dtype, under
         the :class:`~repro.mpi.datatypes.ReduceOp` bound to slot
         ``op``."""
-        return self._compute((_COMBINE, op, a, b, dst), after, round)
+        return self._add(_COMPUTE, after, round, op=(_COMBINE, op, a, b, dst))
 
     def reduce(self, op: Ref, a: Ref, b: Ref, into: Ref,
                after: Sequence[int] = (), round: int = 0) -> int:
         """Rebind slot ``into`` to the fresh array ``op(a, b)`` (``op``
         as in :meth:`combine`)."""
-        return self._compute((_REDUCE, op, a, b, into.slot), after, round)
+        return self._add(_COMPUTE, after, round,
+                         op=(_REDUCE, op, a, b, into.slot))
 
     def overhead(self, after: Sequence[int] = (), round: int = 0) -> int:
         """Charge one software-overhead quantum (the degenerate-size
         path every algorithm keeps for P == 1)."""
-        return self._add(_Step(
-            len(self.steps), _OVERHEAD, tuple(after), round,
-        ))
+        return self._add(_OVERHEAD, after, round)
 
     def describe(self) -> str:
         """Human-readable round-by-round summary (tests/diagnostics)."""
         by_round: dict = {}
-        for s in self.steps:
-            by_round.setdefault(s.round, []).append(s)
+        for i, rd in enumerate(self.round):
+            by_round.setdefault(rd, []).append(i)
         lines = []
         for r in sorted(by_round):
             ops = ", ".join(
-                f"{s.kind}"
-                + (f"->{s.peer}" if s.kind == _SEND else "")
-                + (f"<-{s.peer}" if s.kind == _RECV else "")
-                for s in by_round[r]
+                _KIND_NAMES[self.kind[i]]
+                + (f"->{self.peer[i]}" if self.kind[i] == _SEND else "")
+                + (f"<-{self.peer[i]}" if self.kind[i] == _RECV else "")
+                for i in by_round[r]
             )
             lines.append(f"round {r}: {ops}")
         return "\n".join(lines)
@@ -517,8 +566,9 @@ class ScheduleEngine:
     ) -> Generator[Event, Any, None]:
         from ...sim.primitives import AnyOf
 
-        steps = sched.steps
-        n = len(steps)
+        kinds = sched.kind
+        rounds = sched.round
+        n = len(kinds)
         if n == 0:
             return
         # Span bookkeeping is timing-passive: it only reads sim.now at
@@ -538,11 +588,11 @@ class ScheduleEngine:
                     "n_rounds": sched.n_rounds, "n_steps": n,
                 },
             )
-        missing = [len(s.deps) for s in steps]
-        dependents: List[List[int]] = [[] for _ in steps]
-        for s in steps:
-            for d in s.deps:
-                dependents[d].append(s.idx)
+        missing = [len(d) for d in sched.deps]
+        dependents: List[List[int]] = [[] for _ in range(n)]
+        for i, deps in enumerate(sched.deps):
+            for d in deps:
+                dependents[d].append(i)
         #: Min-heap of startable step indices — lowest index first so
         #: wire ops post in the order the algorithm listed them (send
         #: before recv inside a round, like the old loops).
@@ -560,19 +610,19 @@ class ScheduleEngine:
         while done < n:
             while ready:
                 idx = heapq.heappop(ready)
-                st = steps[idx]
-                if spans is not None and st.round not in rstart:
-                    rstart[st.round] = ctx.sim._now
-                if st.kind == _COMPUTE:
-                    run_op(env, st.op)
+                kind = kinds[idx]
+                if spans is not None and rounds[idx] not in rstart:
+                    rstart[rounds[idx]] = ctx.sim._now
+                if kind == _COMPUTE:
+                    run_op(env, sched.op[idx])
                     done += 1
                     if spans is not None:
-                        rend[st.round] = ctx.sim._now
+                        rend[rounds[idx]] = ctx.sim._now
                     finish(idx)
                     continue
                 proc = ctx.sim.process(
-                    self._wire_op(ctx, st, env),
-                    name=f"sched.{st.kind}(r{ctx.rank}:{st.idx})",
+                    self._wire_op(ctx, sched, idx, env),
+                    name=f"sched.{_KIND_NAMES[kind]}(r{ctx.rank}:{idx})",
                 )
                 running[proc] = idx
             if done >= n:
@@ -591,7 +641,7 @@ class ScheduleEngine:
                 # rounds' end stamps with the latest completion time.
                 now = ctx.sim._now
                 for p in finished:
-                    rend[steps[running[p]].round] = now
+                    rend[rounds[running[p]]] = now
             for p in finished:
                 idx = running.pop(p)
                 done += 1
@@ -607,25 +657,32 @@ class ScheduleEngine:
 
     # -- step drivers -------------------------------------------------------
     def _wire_op(
-        self, ctx: MpiContext, st: _Step, env: List[Any]
+        self, ctx: MpiContext, sched: Schedule, idx: int, env: List[Any]
     ) -> Generator[Event, Any, Any]:
         # A `via` step runs in a derived communicator's rank/tag space
         # (its own matching stores — tag isolation for free); the wire
         # underneath is the same cluster interconnect either way.
-        tctx = st.via if st.via is not None else ctx
+        via = sched.via[idx]
+        tctx = via if via is not None else ctx
         comm = tctx.comm
-        if st.kind == _SEND:
+        kind = sched.kind[idx]
+        buf = sched.buf[idx]
+        flags = sched.flags[idx]
+        if kind == _SEND:
             yield from comm._send_impl(
-                tctx.rank, st.peer, resolve(env, st.buf), st.tag,
-                copy=not st.alias_ok, donate=st.donate,
+                tctx.rank, sched.peer[idx], resolve(env, buf),
+                sched.tag[idx], copy=not flags & _ALIAS_OK,
+                donate=bool(flags & _DONATE),
             )
-        elif st.kind == _RECV:
+        elif kind == _RECV:
+            adopt = flags & _ADOPT
             status = yield from comm._recv_impl(
-                tctx.rank, st.peer, resolve(env, st.buf), st.tag,
-                env if st.adopt else None, st.buf.slot if st.adopt else 0,
+                tctx.rank, sched.peer[idx], resolve(env, buf),
+                sched.tag[idx], env if adopt else None,
+                buf.slot if adopt else 0,
             )
             return status
-        elif st.kind == _OVERHEAD:
+        elif kind == _OVERHEAD:
             yield comm._sw()
         else:  # pragma: no cover - defensive
-            raise MpiError(f"unknown step kind {st.kind!r}")
+            raise MpiError(f"unknown step kind {kind!r}")

@@ -49,8 +49,11 @@ Counter glossary
     Lookups of the uncontended wire-time memo, one per interconnect
     (``Interconnect.wire_time``), that the fast-path pricers
     (collectives and RMA) share: hits vs. cost-model evaluations.
-    Collectives look wire costs up only when they compile a plan, so a
-    plan hit counts neither.
+    Collectives look wire costs up only when they compile a plan, once
+    per *distinct* ``(src, dst, nbytes)`` leg of the plan (a leg that
+    recurs within one compile is counted once), so a plan hit counts
+    neither and ``mpi.fastpath.wire_cost_hit_frac`` is a per-compile,
+    per-distinct-leg fraction.
 ``fastpath_rma_ops``
     One-sided operations priced analytically instead of simulated.
 ``serve_jobs`` / ``serve_backfills`` / ``serve_requests``

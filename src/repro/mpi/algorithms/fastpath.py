@@ -148,10 +148,10 @@ __all__ = ["FastPathEngine"]
 # Plan instruction kinds (see _Plan.evaluate).
 _K_COMPUTE = 0   # fin = ready
 _K_OVERHEAD = 1  # fin = ready + sw
-_K_READY = 2     # the first-ready side of a rendezvous pair: ready only
+_K_READY = 2     # a rendezvous pair's receive: ready only
 _K_ESEND = 3     # eager send: fin = ready + sw + wire
 _K_ERECV = 4     # eager receive: fin = max(ready + sw, send fin)
-_K_RNDV = 5      # second-ready side of a rendezvous pair: both finish
+_K_RNDV = 5      # a rendezvous pair's send, after its READY: both finish
 
 # Data program operations (see _move).
 _D_RESOLVE = 0  # resolve a wire step's buffer in its rank's environment
@@ -411,14 +411,10 @@ class _Plan:
                 fin[g] = f if f > t else t
             elif kind == _K_OVERHEAD:
                 fin[g] = t + sw
-            else:  # _K_RNDV
-                other, is_send, hdr, cts, payload = arg
-                if is_send:
-                    a = rdy[other] + sw
-                    b = t + sw + hdr
-                else:
-                    a = t + sw
-                    b = rdy[other] + sw + hdr
+            else:  # _K_RNDV: g is the send, ``other`` its receive
+                other, hdr, cts, payload = arg
+                a = rdy[other] + sw
+                b = t + sw + hdr
                 f = (b if b > a else a) + cts + payload
                 fin[g] = f
                 fin[other] = f
@@ -767,9 +763,7 @@ class FastPathEngine(ScheduleEngine):
         t = list(map(cost.__getitem__, inv))
         for g, f, eg, r in zip(sends.tolist(), first.tolist(), e.tolist(),
                                pair[sends].tolist()):
-            args[g] = t[f] if eg else (
-                ids[r], True, t[f], t[f + 1], t[f + 2]
-            )
+            args[g] = t[f] if eg else (ids[r], t[f], t[f + 1], t[f + 2])
         return list(map(distinct.__getitem__, inv))
 
 

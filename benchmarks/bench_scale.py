@@ -6,7 +6,7 @@ BENCH sweep at 32–64 nodes.  The fast-path backend
 schedules from the fabric profile instead — ``backend="analytic"``
 still moves data bit-exactly, ``backend="pricing"`` prices only —
 which is what makes the algorithm crossovers at 256–1024 ranks
-measurable at all.  Three series land in ``BENCH_scale.json``:
+measurable at all.  These series land in ``BENCH_scale.json``:
 
 1. **agreement** — at small P (5/8/16 ranks, non-power-of-two
    included) the analytic backend must agree with the exact simulator:

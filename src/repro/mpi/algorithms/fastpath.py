@@ -503,8 +503,6 @@ class FastPathEngine(ScheduleEngine):
                 if sched is not None:
                     plan.check(r, sched)
             stats.fastpath_sched_cache_hits += 1
-            if plan.data_ops:
-                plan.replay(inst.envs, stats)
         else:
             # Ranks whose own key hit while the others' differ: build
             # them now (their tags were claimed at issue), over the
@@ -517,6 +515,8 @@ class FastPathEngine(ScheduleEngine):
             plan = self._compile(inst)
             if shape is not None:
                 self._plans[shape] = plan
+        if plan.data_ops:
+            plan.replay(inst.envs, stats)
 
         interconnect = comm.cluster.interconnect
         fins, rdy, fin = plan.evaluate(
@@ -599,9 +599,8 @@ class FastPathEngine(ScheduleEngine):
 
     def _compile(self, inst: _Instance) -> _Plan:
         """Compile the instance's DAGs into a :class:`_Plan` with array
-        operations over all ranks' step columns, then move the
-        instance's data with the plan's own data program (unless the
-        engine is pricing-only or the shape is data-free).
+        operations over all ranks' step columns — with a data program
+        unless the engine is pricing-only or the shape is data-free.
 
         1. **Pair** every send with a receive: one lexsort of the wire
            steps on (communicator, source, destination, tag, step) —
@@ -704,7 +703,6 @@ class FastPathEngine(ScheduleEngine):
             release = np.zeros(n, dtype=np.int64)
             np.maximum.at(release, owner, level[src] + is_wire[src])
             _data_program(plan, cols, bufs, level, release, pair, snd, rcv)
-            plan.replay(inst.envs, comm.sim.stats)
         return plan
 
     def _endpoints(self, cols: "_Columns"):

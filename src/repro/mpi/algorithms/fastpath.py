@@ -757,7 +757,7 @@ class FastPathEngine(ScheduleEngine):
         distinct = list(zip(*distinct.tolist()))
         wire_time = self.comm.cluster.interconnect.wire_time
         cost = [wire_time(*d) for d in distinct]
-        inv = inv.tolist()
+        inv = inv.reshape(-1).tolist()  # 1-D whatever the numpy version
         t = list(map(cost.__getitem__, inv))
         for g, f, eg, r in zip(sends.tolist(), first.tolist(), e.tolist(),
                                pair[sends].tolist()):
